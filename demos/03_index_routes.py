@@ -9,12 +9,10 @@ closed form: exact rational recurrences in the blowup depth, seeded with
              exact base values
 """
 
-import warnings
 from fractions import Fraction
 
 from clique_blowup import (
     BlowupParams,
-    ClosedFormMismatchWarning,
     blowup_iterate,
     gen_family,
     kemeny_blowup_closed,
@@ -30,6 +28,7 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
+from clique_blowup.indexes import _kemeny_r_level
 
 triangle = gen_family("complete", 3)
 
@@ -61,12 +60,10 @@ kf1 = kf_star_blowup_closed(kf0, 3, 3, params)
 ke1 = kemeny_blowup_closed(ke0, 3, 3, params)
 print(f"\nKf* = 2m * Kemeny check: {kf1} == 2*{blown.edge_count}*{ke1} ->", kf1 == 2 * blown.edge_count * ke1)
 
-# Caveat: the single-shot depth-r Kemeny expression undercounts for r >= 2;
-# the package iterates the one-step recurrence instead and warns.
-print("\ndeeper Kemeny values come from the iterated recurrence:")
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always", ClosedFormMismatchWarning)
-    ke2 = kemeny_blowup_closed(Fraction(1, 2), 2, 1, BlowupParams(3, 2))
+# The closed forms iterate one-step recurrences and assert that the
+# single-shot depth-r expressions give the same value.
+print("\ndeeper Kemeny values, iterated and single-shot:")
+ke2 = kemeny_blowup_closed(Fraction(1, 2), 2, 1, BlowupParams(3, 2))
+single = _kemeny_r_level(Fraction(1, 2), 2, 1, 3, 2)
 print(f"  Kemeny after two n=3 blowups of a single edge: {ke2}")
-if caught:
-    print(f"  note: {caught[0].message}")
+print(f"  single-shot {single} == iterated {ke2} ->", single == ke2)

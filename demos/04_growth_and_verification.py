@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
 """Index growth with depth, size caps, and the cross-route verification grid."""
 
-import warnings
-
 from clique_blowup import (
     BlowupParams,
-    ClosedFormMismatchWarning,
     SizeCapExceededError,
     blowup_counts,
     blowup_iterate,
@@ -26,15 +23,13 @@ tau0 = tau_exact(square)
 
 print("4-cycle under repeated n=3 blowups (all values exact):")
 print(f"{'r':>2} {'vertices':>10} {'edges':>10} {'Kemeny':>14} {'spanning trees':>20}")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", ClosedFormMismatchWarning)
-    for r in range(5):
-        params = BlowupParams(3, r)
-        counts = blowup_counts(4, 4, params)
-        ke = kemeny_blowup_closed(ke0, 4, 4, params)
-        tau = tau_blowup_closed(tau0, 4, 4, params)
-        tau_text = str(tau) if tau < 10**18 else f"~10^{len(str(tau)) - 1}"
-        print(f"{r:>2} {counts.vertices:>10} {counts.edges:>10} {float(ke):>14.4f} {tau_text:>20}")
+for r in range(5):
+    params = BlowupParams(3, r)
+    counts = blowup_counts(4, 4, params)
+    ke = kemeny_blowup_closed(ke0, 4, 4, params)
+    tau = tau_blowup_closed(tau0, 4, 4, params)
+    tau_text = str(tau) if tau < 10**18 else f"~10^{len(str(tau)) - 1}"
+    print(f"{r:>2} {counts.vertices:>10} {counts.edges:>10} {float(ke):>14.4f} {tau_text:>20}")
 
 # explicit construction is guarded by a vertex cap; the closed forms are not
 print("\ntrying to construct the r=9 blowup:")

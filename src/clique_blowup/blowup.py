@@ -61,20 +61,22 @@ def clique_blowup(g: Graph, n: int) -> Graph:
     return Graph(base + (n - 2) * g.edge_count, edges)
 
 
-def blowup_counts(n0: int, e0: int, params: BlowupParams) -> BlowupCounts:
-    """Exact vertex/edge counts after r blowup steps.
+def count_sequence(n0: int, e0: int, n: int, r: int) -> list[tuple[int, int]]:
+    """Exact (N_k, E_k) for k = 0..r.
 
-    Evaluates both the step-by-step recurrence and the closed forms
+    Iterates the one-step recurrence and insists its last level agrees with
+    the closed forms
         E_r = n^r (n-1)^r E_0 / 2^r,
-        N_r = N_0 + 2 E_0 (n^r (n-1)^r / 2^r - 1) / (n+1),
-    and insists they agree (they are algebraically equal).
+        N_r = N_0 + 2 E_0 (n^r (n-1)^r / 2^r - 1) / (n+1)
+    (they are algebraically equal).
     """
     if n0 < 1 or e0 < 0:
         raise InvalidParameterError("need N0 >= 1 and E0 >= 0")
-    n, r = params.n, params.r
+    levels = [(n0, e0)]
     vertices, edges = n0, e0
     for _ in range(r):
         vertices, edges = vertices + (n - 2) * edges, n * (n - 1) * edges // 2
+        levels.append((vertices, edges))
     growth = Fraction(n * (n - 1), 2) ** r
     closed_edges = growth * e0
     closed_vertices = n0 + Fraction(2 * e0, n + 1) * (growth - 1)
@@ -83,6 +85,12 @@ def blowup_counts(n0: int, e0: int, params: BlowupParams) -> BlowupCounts:
             f"count recurrence ({vertices}, {edges}) != closed form "
             f"({closed_vertices}, {closed_edges})"
         )
+    return levels
+
+
+def blowup_counts(n0: int, e0: int, params: BlowupParams) -> BlowupCounts:
+    """Exact vertex/edge counts after r blowup steps (last level of count_sequence)."""
+    vertices, edges = count_sequence(n0, e0, params.n, params.r)[-1]
     return BlowupCounts(vertices=vertices, edges=edges)
 
 

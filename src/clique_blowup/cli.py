@@ -2,7 +2,7 @@
 
 stdout carries data, stderr carries diagnostics. Exit codes are a stable
 contract: 0 success or match, 1 verification mismatch, 2 invalid input,
-3 size cap exceeded.
+3 size cap exceeded or a result too large for a float.
 """
 
 from __future__ import annotations
@@ -134,45 +134,6 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def _spectral_report(g: Graph, params: BlowupParams, max_vertices: int) -> IndexReport:
-    blown = blowup_iterate(g, params, max_vertices=max_vertices)
-    sigma = laplacian_spectrum(blown, max_order=max_vertices)
-    kf = indexes.kf_star_spectral(sigma, blown.edge_count)
-    ke = indexes.kemeny_spectral(sigma)
-    tau = indexes.tau_spectral(blown, sigma)
-    return IndexReport(float(kf), float(ke), tau, "spectral", params=params)
-
-
-def _closed_form_report(g: Graph, params: BlowupParams, exact_cap: int) -> IndexReport:
-    kf0 = indexes.kf_star_exact(g, max_order=exact_cap)
-    ke0 = kf0 / (2 * g.edge_count)
-    tau0 = indexes.tau_exact(g, max_order=exact_cap)
-    n0, e0 = g.vertex_count, g.edge_count
-    kf = indexes.kf_star_blowup_closed(kf0, n0, e0, params)
-    ke = indexes.kemeny_blowup_closed(ke0, n0, e0, params)
-    tau = indexes.tau_blowup_closed(tau0, n0, e0, params)
-    return IndexReport(
-        float(kf),
-        float(ke),
-        float(tau),
-        "closed_form",
-        tau_exact=tau,
-        kf_star_exact=kf,
-        kemeny_exact=ke,
-        params=params,
-    )
-
-
-def _oracle_report(
-    g: Graph, params: BlowupParams, max_vertices: int, exact_cap: int
-) -> IndexReport:
-    blown = blowup_iterate(g, params, max_vertices=max_vertices)
-    kf = indexes.kf_star_direct(blown)
-    ke = indexes.kemeny_direct(blown)
-    tau = indexes.tau_exact(blown, max_order=exact_cap)
-    return IndexReport(kf, ke, float(tau), "oracle", tau_exact=tau, params=params)
-
-
 def _report_table_row(report: IndexReport) -> str:
     kf = (
         str(report.kf_star_exact)
@@ -199,13 +160,11 @@ def cmd_indexes(args) -> int:
         raise InvalidParameterError("--n is required when r >= 1")
     params = BlowupParams(args.n if args.n is not None else 3, r)
 
-    builders = {
-        "spectral": lambda: _spectral_report(g, params, args.max_vertices),
-        "closed_form": lambda: _closed_form_report(g, params, args.exact_cap),
-        "oracle": lambda: _oracle_report(g, params, args.max_vertices, args.exact_cap),
+    routes = indexes.ROUTES if args.route == "all" else (args.route,)
+    reports = {
+        route: indexes.compute(g, params, route, args.max_vertices, args.exact_cap)
+        for route in routes
     }
-    routes = list(builders) if args.route == "all" else [args.route]
-    reports = {route: builders[route]() for route in routes}
     deltas = _route_deltas(reports.values())
 
     if args.format == "json":
@@ -332,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--input", required=True)
     p_idx.add_argument("--n", type=int, default=None)
     p_idx.add_argument("--r", type=int, default=None, help="iteration depth (default 0)")
-    p_idx.add_argument("--route", choices=("spectral", "closed_form", "oracle", "all"), default="all")
+    p_idx.add_argument("--route", choices=(*indexes.ROUTES, "all"), default="all")
     p_idx.add_argument("--format", choices=("table", "json"), default="table")
     p_idx.add_argument("--output", default=None)
     p_idx.add_argument("--max-vertices", type=int, default=None)
@@ -362,7 +321,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_vertices", None) is None and hasattr(args, "max_vertices"):
             args.max_vertices = _default_max_vertices()
         return args.func(args)
-    except SizeCapExceededError as exc:
+    except (SizeCapExceededError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (CliqueBlowupError, OSError) as exc:

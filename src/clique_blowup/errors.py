@@ -56,8 +56,8 @@ class NumericalFailureError(CliqueBlowupError):
 
 
 class ClosedFormMismatchWarning(UserWarning):
-    """A single-shot closed expression disagrees with the iterated recurrence.
+    """Kept only so that existing imports keep working; nothing emits it.
 
-    The iterated recurrence is the value returned; the warning reports the
-    deviation instead of silently accepting either side.
+    A single-shot closed expression that disagrees with its iterated
+    recurrence raises InternalAssertionError instead.
     """

@@ -11,15 +11,14 @@ Three mutually checking routes:
   rational arithmetic, cross-asserted against the single-shot expressions
   in the iteration depth r.
 
-The iterated recurrences are the ground truth for the closed-form route;
-a disagreement with a single-shot r-level expression is reported, never
-silently adopted.
+A disagreement between an iterated recurrence and its single-shot r-level
+expression raises InternalAssertionError. ``compute`` runs one route on the
+r-fold blowup of a graph and returns an IndexReport.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,9 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from ._exact import bareiss_determinant, fraction_inverse
-from .blowup import BlowupParams
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import (
-    ClosedFormMismatchWarning,
     InconsistentSpectrumError,
     InternalAssertionError,
     InvalidParameterError,
@@ -37,7 +35,7 @@ from .errors import (
     SizeCapExceededError,
 )
 from .graphs import Graph, require_connected
-from .spectral import SpectrumMultiset
+from .spectral import SpectrumMultiset, laplacian_spectrum
 
 DEFAULT_EXACT_CAP = 200
 
@@ -227,16 +225,6 @@ def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
     return bareiss_determinant(minor)
 
 
-def _count_sequence(n0: int, e0: int, n: int, r: int) -> list[tuple[int, int]]:
-    """(N_k, E_k) for k = 0..r."""
-    seq = [(n0, e0)]
-    vertices, edges = n0, e0
-    for _ in range(r):
-        vertices, edges = vertices + (n - 2) * edges, n * (n - 1) * edges // 2
-        seq.append((vertices, edges))
-    return seq
-
-
 def _kf_one_step(kf: Fraction, vertices: int, edges: int, n: int) -> Fraction:
     c = Fraction((n - 1) ** 2 * (n - 2), 2)
     return Fraction(n * (n - 1) ** 2, 2) * kf + 3 * c * edges**2 - c * edges * vertices
@@ -264,17 +252,12 @@ def _kf_r_level(kf0: Fraction, n0: int, e0: int, n: int, r: int) -> Fraction:
 
 
 def _kemeny_r_level(ke0: Fraction, n0: int, e0: int, n: int, r: int) -> Fraction:
-    """Single-shot expression for the Kemeny constant after r steps.
-
-    Known defect: for r >= 2 this grouping undercounts by
-    (n-2)/(n(n+1)) * ((n-1)^{r-1} - 1) * E_0 relative to the iterated
-    recurrence; callers treat the recurrence as ground truth.
-    """
+    """Single-shot expression for the Kemeny constant after r steps."""
     a = Fraction(n - 1) ** r * ke0
     b = Fraction((n - 1) ** (r + 1), 2 * n) * (Fraction(1, (n - 1) ** r) - 1) * n0
     c1 = Fraction(3 * (n - 1) ** r, n) * (Fraction(n**r, 2**r) - 1)
     c2 = Fraction((n - 1) ** r, n + 1) * (1 - Fraction(n ** (r - 1), 2 ** (r - 1)))
-    c3 = Fraction((n - 1) ** (r - 1), n * (n + 1)) * (
+    c3 = Fraction((n - 1) ** r, n * (n + 1)) * (
         1 - Fraction(1, (n - 1) ** (r - 1))
     )
     return a + b + (c1 + c2 + c3) * e0
@@ -291,17 +274,14 @@ def kf_star_blowup_closed(
     if kf < 0:
         raise InvalidParameterError("Kf* must be non-negative")
     value = Fraction(kf)
-    counts = _count_sequence(n0, e0, params.n, params.r)
-    for vertices, edges in counts[:-1]:
+    levels = count_sequence(n0, e0, params.n, params.r)
+    for vertices, edges in levels[:-1]:
         value = _kf_one_step(value, vertices, edges, params.n)
     if params.r >= 1:
         single_shot = _kf_r_level(Fraction(kf), n0, e0, params.n, params.r)
         if single_shot != value:
-            warnings.warn(
-                f"single-shot Kf* expression gives {single_shot}, iterated "
-                f"recurrence gives {value}; keeping the iterated value",
-                ClosedFormMismatchWarning,
-                stacklevel=2,
+            raise InternalAssertionError(
+                f"single-shot Kf* {single_shot} disagrees with iterated {value}"
             )
     return value
 
@@ -311,24 +291,20 @@ def kemeny_blowup_closed(
 ) -> Fraction:
     """Exact Kemeny constant of the r-fold blowup from the base value.
 
-    Iterates Ke' = (n-1)Ke + 3(n-1)(n-2)E/(2n) - (n-1)(n-2)N/(2n). The
-    single-shot r-level expression is checked and its known r >= 2
-    discrepancy is surfaced as a warning; the iterated value is returned.
+    Iterates Ke' = (n-1)Ke + 3(n-1)(n-2)E/(2n) - (n-1)(n-2)N/(2n) and
+    checks the single-shot r-level expression agrees.
     """
     if ke < 0:
         raise InvalidParameterError("Kemeny constant must be non-negative")
     value = Fraction(ke)
-    counts = _count_sequence(n0, e0, params.n, params.r)
-    for vertices, edges in counts[:-1]:
+    levels = count_sequence(n0, e0, params.n, params.r)
+    for vertices, edges in levels[:-1]:
         value = _kemeny_one_step(value, vertices, edges, params.n)
     if params.r >= 1:
         single_shot = _kemeny_r_level(Fraction(ke), n0, e0, params.n, params.r)
         if single_shot != value:
-            warnings.warn(
-                f"single-shot Kemeny expression gives {single_shot}, iterated "
-                f"recurrence gives {value}; keeping the iterated value",
-                ClosedFormMismatchWarning,
-                stacklevel=2,
+            raise InternalAssertionError(
+                f"single-shot Kemeny {single_shot} disagrees with iterated {value}"
             )
     return value
 
@@ -347,8 +323,7 @@ def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:
     if r == 0:
         return tau
     value = tau
-    counts = _count_sequence(n0, e0, n, r)
-    for vertices, edges in counts[:-1]:
+    for vertices, edges in count_sequence(n0, e0, n, r)[:-1]:
         exp2 = edges - vertices + 1
         expn = (n - 3) * edges + vertices - 1
         if exp2 < 0 or expn < 0:
@@ -371,3 +346,61 @@ def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:
             f"single-shot tree count {single_shot} disagrees with iterated {value}"
         )
     return value
+
+
+def _closed_form_lift(
+    kf0: Fraction | int, tau0: int, n0: int, e0: int, params: BlowupParams
+) -> tuple[Fraction, Fraction, int]:
+    """Exact (Kf*, Kemeny, tau) of the r-fold blowup from exact base values.
+
+    The base Kemeny constant is Kf*/(2E); depth r = 0 returns the base values.
+    """
+    ke0 = Fraction(kf0) / (2 * e0)
+    return (
+        kf_star_blowup_closed(kf0, n0, e0, params),
+        kemeny_blowup_closed(ke0, n0, e0, params),
+        tau_blowup_closed(tau0, n0, e0, params),
+    )
+
+
+def compute(
+    g: Graph,
+    params: BlowupParams,
+    route: str,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    exact_cap: int = DEFAULT_EXACT_CAP,
+) -> IndexReport:
+    """Kf*, Kemeny and tau of the r-fold blowup of g by one route.
+
+    closed_form lifts exact base values of g and never constructs the
+    blowup; spectral and oracle construct it under max_vertices. Exact
+    routines are capped at exact_cap vertices.
+    """
+    if route not in ROUTES:
+        raise InvalidParameterError(f"route must be one of {ROUTES}")
+    if route == "closed_form":
+        kf0 = kf_star_exact(g, max_order=exact_cap)
+        tau0 = tau_exact(g, max_order=exact_cap)
+        kf, ke, tau = _closed_form_lift(kf0, tau0, g.vertex_count, g.edge_count, params)
+        return IndexReport(
+            float(kf),
+            float(ke),
+            float(tau),
+            route,
+            tau_exact=tau,
+            kf_star_exact=kf,
+            kemeny_exact=ke,
+            params=params,
+        )
+    blown = blowup_iterate(g, params, max_vertices=max_vertices)
+    if route == "spectral":
+        sigma = laplacian_spectrum(blown, max_order=max_vertices)
+        kf = kf_star_spectral(sigma, blown.edge_count)
+        ke = kemeny_spectral(sigma)
+        tau = tau_spectral(blown, sigma)
+        return IndexReport(float(kf), float(ke), tau, route, params=params)
+    kf = kf_star_direct(blown)
+    tau = tau_exact(blown, max_order=exact_cap)
+    return IndexReport(
+        kf, kf / (2 * blown.edge_count), float(tau), route, tau_exact=tau, params=params
+    )

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
 from .errors import (
     DegreeZeroError,
     InconsistentSpectrumError,
@@ -330,12 +330,11 @@ def spectrum_iterated(
     if params.r < 1:
         raise InvalidParameterError("iterated mapping needs r >= 1")
     sigma = sigma_g
-    vertices, edges = n0, e0
-    bip = bipartite
-    for _ in range(params.r):
-        sigma = spectrum_by_theorem(sigma, vertices, edges, params.n, bip)
-        vertices, edges = vertices + (params.n - 2) * edges, params.n * (params.n - 1) * edges // 2
-        bip = False
+    levels = count_sequence(n0, e0, params.n, params.r)
+    for level, (vertices, edges) in enumerate(levels[:-1]):
+        sigma = spectrum_by_theorem(
+            sigma, vertices, edges, params.n, bipartite and level == 0
+        )
     return sigma
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clique_blowup
 from clique_blowup.cli import main
 
 
@@ -188,6 +192,52 @@ class TestIndexes:
         )
         assert code == 3
 
+    def test_closed_form_table_output_is_pinned(self):
+        # a child interpreter, so that any warning reaches the real stderr
+        src = os.path.dirname(os.path.dirname(clique_blowup.__file__))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "clique_blowup.cli",
+                "indexes", "--input", "cycle:4", "--n", "3", "--r", "2",
+                "--route", "closed_form",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "route        kf_star                  kemeny                   tau\n"
+            "closed_form  1776                     74/3                     15116544\n"
+        )
+        assert proc.stderr == ""
+
+    def test_closed_form_json_output_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys,
+            "indexes", "--input", "cycle:4", "--n", "3", "--r", "2",
+            "--route", "closed_form", "--format", "json",
+        )
+        assert code == 0
+        assert out == (
+            '{"kf_star":1776,"kemeny":24.666666666666668,"tau_float":15116544,'
+            '"tau_exact":"15116544","route":"closed_form","n":3,"r":2,'
+            '"kf_star_exact":"1776","kemeny_exact":"74/3"}\n'
+        )
+        assert err == ""
+
+    @pytest.mark.parametrize("route", ["closed_form", "spectral"])
+    def test_tau_beyond_float_range_exits_3(self, capsys, route):
+        code, out, err = run(
+            capsys,
+            "indexes", "--input", "petersen", "--n", "6", "--r", "2",
+            "--route", route,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unreachable_tolerance_exits_1(self, capsys):
         code, out, err = run(
             capsys,
@@ -208,6 +258,19 @@ class TestVerify:
         assert code == 0
         assert "RESULT: PASS" in out
         assert "complete:2" in out and "n=3,r=1" in out
+
+    def test_small_grid_output_is_pinned(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--corpus", "complete:2,cycle:4", "--n-list", "3", "--r-list", "1,2",
+        )
+        assert code == 0
+        assert out == (
+            "graph       structural  n=3,r=1  n=3,r=2\n"
+            "complete:2  ok          ok       ok     \n"
+            "cycle:4     ok          ok       ok     \n"
+            "RESULT: PASS (66 checks, 0 failures, 0 skipped)\n"
+        )
 
     @pytest.mark.parametrize("corpus", ["", ","])
     def test_empty_corpus_exits_2(self, capsys, corpus):

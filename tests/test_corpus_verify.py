@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from clique_blowup import (
+    BlowupParams,
+    InternalAssertionError,
     InvalidParameterError,
     bipartition,
     default_corpus,
@@ -71,14 +73,29 @@ class TestHarness:
         assert serial.passed and parallel.passed
 
     def test_sensitivity_to_corrupted_constant(self, monkeypatch):
-        # deliberately corrupt the one-step Kf* recurrence; the harness
-        # must notice the disagreement with the resistance oracle
+        # deliberately corrupt the closed-form Kf*; the harness must notice
+        # the disagreement with the resistance oracle
+        original = indexes.kf_star_blowup_closed
+
+        def corrupted(kf, n0, e0, params):
+            return original(kf, n0, e0, params) + Fraction(1, 7)
+
+        monkeypatch.setattr(indexes, "kf_star_blowup_closed", corrupted)
+        report = run_verification([("complete:3", gen_family("complete", 3))], [3], [1])
+        assert not report.passed
+        assert any("kf" in r.check for r in report.failures)
+
+    def test_corrupted_one_step_recurrence_raises(self, monkeypatch):
+        # the iterated recurrence no longer matches its single-shot
+        # expression, so the closed form raises instead of returning
         original = indexes._kf_one_step
 
         def corrupted(kf, vertices, edges, n):
             return original(kf, vertices, edges, n) + Fraction(1, 7)
 
         monkeypatch.setattr(indexes, "_kf_one_step", corrupted)
+        with pytest.raises(InternalAssertionError, match="single-shot Kf"):
+            indexes.kf_star_blowup_closed(8, 3, 3, BlowupParams(3, 1))
         report = run_verification([("complete:3", gen_family("complete", 3))], [3], [1])
         assert not report.passed
-        assert any("kf" in r.check for r in report.failures)
+        assert any("single-shot Kf" in r.detail for r in report.failures)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from clique_blowup import (
     BlowupParams,
-    ClosedFormMismatchWarning,
     InconsistentSpectrumError,
     IndexReport,
+    InternalAssertionError,
     InvalidParameterError,
     SizeCapExceededError,
     SpectrumMultiset,
@@ -31,6 +31,7 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
+from clique_blowup.blowup import count_sequence
 
 from conftest import connected_graphs
 
@@ -195,23 +196,31 @@ class TestClosedForms:
     def test_kf_kemeny_coupling_is_exact(self):
         params = BlowupParams(4, 3)
         kf = kf_star_blowup_closed(8, 3, 3, params)
-        with pytest.warns(ClosedFormMismatchWarning):
-            ke = kemeny_blowup_closed(Fraction(4, 3), 3, 3, params)
+        ke = kemeny_blowup_closed(Fraction(4, 3), 3, 3, params)
         edges = 3 * (4 * 3 // 2) ** 3
         assert kf == 2 * edges * ke
 
 
 class TestSingleShotKemenyDeviation:
-    """The single-shot depth-r Kemeny expression undercounts for r >= 2.
+    """The single-shot depth-r expressions equal the iterated recurrences.
 
-    The iterated recurrence is the value the package returns; it is the one
-    that agrees with the explicit-construction oracles.
+    Any deviation between the two raises instead of returning a value.
     """
 
-    def test_warns_and_returns_iterated_value(self):
-        with pytest.warns(ClosedFormMismatchWarning):
-            value = kemeny_blowup_closed(Fraction(1, 2), 2, 1, BlowupParams(3, 2))
-        assert value == Fraction(14, 3)
+    def test_single_shot_disagreement_raises(self, monkeypatch):
+        from clique_blowup import indexes
+
+        def tampered(expression):
+            return lambda *args: expression(*args) + Fraction(1, 7)
+
+        params = BlowupParams(3, 2)
+        monkeypatch.setattr(indexes, "_kf_r_level", tampered(indexes._kf_r_level))
+        with pytest.raises(InternalAssertionError, match="single-shot Kf"):
+            kf_star_blowup_closed(1, 2, 1, params)
+        monkeypatch.undo()
+        monkeypatch.setattr(indexes, "_kemeny_r_level", tampered(indexes._kemeny_r_level))
+        with pytest.raises(InternalAssertionError, match="single-shot Kemeny"):
+            kemeny_blowup_closed(Fraction(1, 2), 2, 1, params)
 
     def test_returned_value_matches_spectral_route(self):
         blown = blowup_iterate(K2, BlowupParams(3, 2))
@@ -222,18 +231,28 @@ class TestSingleShotKemenyDeviation:
         import warnings
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ClosedFormMismatchWarning)
+            warnings.simplefilter("error")
             kemeny_blowup_closed(Fraction(1, 2), 2, 1, BlowupParams(3, 1))
 
-    def test_deviation_magnitude(self):
-        from clique_blowup.indexes import _kemeny_r_level
+    def test_single_shot_equals_recurrence_on_grid(self):
+        from clique_blowup.indexes import (
+            _kemeny_one_step,
+            _kemeny_r_level,
+            _kf_one_step,
+            _kf_r_level,
+        )
 
-        for n, r, e0 in [(3, 2, 1), (5, 2, 3), (4, 3, 4)]:
-            with pytest.warns(ClosedFormMismatchWarning):
-                iterated = kemeny_blowup_closed(Fraction(1, 2), 2, e0, BlowupParams(n, r))
-            single = _kemeny_r_level(Fraction(1, 2), 2, e0, n, r)
-            expected_gap = Fraction(n - 2, n * (n + 1)) * ((n - 1) ** (r - 1) - 1) * e0
-            assert iterated - single == expected_gap
+        for n0, e0 in [(2, 1), (3, 3), (4, 4), (10, 15)]:
+            kf0 = Fraction(17, 3)
+            ke0 = kf0 / (2 * e0)
+            for n in range(3, 8):
+                kf, ke = kf0, ke0
+                levels = count_sequence(n0, e0, n, 5)
+                for r, (vertices, edges) in enumerate(levels[:-1], start=1):
+                    kf = _kf_one_step(kf, vertices, edges, n)
+                    ke = _kemeny_one_step(ke, vertices, edges, n)
+                    assert _kf_r_level(kf0, n0, e0, n, r) == kf
+                    assert _kemeny_r_level(ke0, n0, e0, n, r) == ke
 
 
 class TestIndexReport:
@@ -284,14 +303,10 @@ class TestInvariants:
         kf0, tau0 = kf_star_exact(g), tau_exact(g)
         ke0 = kf0 / (2 * e0)
         kf_prev, ke_prev, tau_prev = kf0, ke0, tau0
-        import warnings
-
         for r in (1, 2):
             params = BlowupParams(n, r)
             kf = kf_star_blowup_closed(kf0, n0, e0, params)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ClosedFormMismatchWarning)
-                ke = kemeny_blowup_closed(ke0, n0, e0, params)
+            ke = kemeny_blowup_closed(ke0, n0, e0, params)
             tau = tau_blowup_closed(tau0, n0, e0, params)
             assert kf > kf_prev and ke > ke_prev and tau > tau_prev
             kf_prev, ke_prev, tau_prev = kf, ke, tau
