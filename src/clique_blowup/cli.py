@@ -2,7 +2,7 @@
 
 stdout carries data, stderr carries diagnostics. Exit codes are a stable
 contract: 0 success or match, 1 verification mismatch, 2 invalid input,
-3 size cap exceeded or a result too large for a float.
+3 size cap exceeded, a result too large for a float, or out of memory.
 """
 
 from __future__ import annotations
@@ -323,6 +323,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SizeCapExceededError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (CliqueBlowupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

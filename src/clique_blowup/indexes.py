@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from ._exact import bareiss_determinant, fraction_inverse
+from ._exact import fraction_inverse, modular_determinant
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import (
     InconsistentSpectrumError,
@@ -207,22 +207,19 @@ def kemeny_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
 
 
 def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
-    """Exact spanning-tree count: matrix-tree determinant, fraction-free.
+    """Exact spanning-tree count: matrix-tree determinant, multi-modular.
 
     Deletes row and column 0 of the integer combinatorial Laplacian and
-    runs Bareiss elimination; the result is exact at any size the cap
-    allows.
+    takes its determinant modulo enough primes to pass the Hadamard bound;
+    the result is exact at any size the cap allows.
     """
     require_connected(g)
     if g.vertex_count > max_order:
         raise SizeCapExceededError(
             f"order {g.vertex_count} exceeds exact cap {max_order}"
         )
-    if g.vertex_count == 1:
-        return 1
     lap = _combinatorial_laplacian(g)
-    minor = [row[1:] for row in lap[1:]]
-    return bareiss_determinant(minor)
+    return modular_determinant([row[1:] for row in lap[1:]])
 
 
 def _kf_one_step(kf: Fraction, vertices: int, edges: int, n: int) -> Fraction:

@@ -9,6 +9,7 @@ Cells whose blowups exceed the size caps are skipped, not failed.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -349,8 +350,10 @@ def run_verification(
         for n in n_list
         for r in r_list
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # every worker forks at once, so never ask for more than can run
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(_run_cell, tasks):
                 report.results.extend(results)
     else:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import clique_blowup
+from clique_blowup import cli
 from clique_blowup.cli import main
 
 
@@ -281,6 +282,16 @@ class TestVerify:
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--corpus", "wheel:9")
         assert code == 2
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_verification", exhausted)
+        code, out, err = run(capsys, "verify", "--corpus", "complete:2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(

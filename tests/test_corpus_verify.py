@@ -13,7 +13,7 @@ from clique_blowup import (
     petersen,
     run_verification,
 )
-from clique_blowup import indexes
+from clique_blowup import indexes, verify
 from clique_blowup.verify import cell_checks, graph_checks
 
 
@@ -71,6 +71,34 @@ class TestHarness:
         parallel = run_verification(corpus, [3], [1], jobs=2)
         assert [r.check for r in serial.results] == [r.check for r in parallel.results]
         assert serial.passed and parallel.passed
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        [(64, 8, 2), (3, 2, 2), (1, 8, None), (64, 1, None), (64, None, None)],
+    )
+    def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch, jobs, cpus, expected):
+        # a fake pool that maps serially: no process is started
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        corpus = [("complete:2", gen_family("complete", 2))]
+        report = run_verification(corpus, [3], [1, 2], jobs=jobs)
+        assert report.passed
+        assert requested == ([] if expected is None else [expected])
 
     def test_sensitivity_to_corrupted_constant(self, monkeypatch):
         # deliberately corrupt the closed-form Kf*; the harness must notice

@@ -31,7 +31,9 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
-from clique_blowup.blowup import count_sequence
+from clique_blowup._exact import bareiss_determinant
+from clique_blowup.blowup import blowup_counts, count_sequence
+from clique_blowup.indexes import _combinatorial_laplacian
 
 from conftest import connected_graphs
 
@@ -147,6 +149,29 @@ class TestOracles:
     def test_tau_exact_cap(self):
         with pytest.raises(SizeCapExceededError):
             tau_exact(petersen(), max_order=5)
+
+    def test_tau_exact_matches_bareiss_on_verify_grid(self, corpus):
+        # the default verify grid, up to about 110 vertices to keep it fast
+        checked = 0
+        for _, g in corpus:
+            for n in (3, 4, 5):
+                for r in (1, 2):
+                    params = BlowupParams(n, r)
+                    if blowup_counts(g.vertex_count, g.edge_count, params).vertices > 110:
+                        continue
+                    blown = blowup_iterate(g, params)
+                    lap = _combinatorial_laplacian(blown)
+                    minor = [row[1:] for row in lap[1:]]
+                    assert tau_exact(blown) == bareiss_determinant(minor)
+                    checked += 1
+        assert checked >= 30
+
+    def test_tau_exact_matches_closed_form_at_196_vertices(self):
+        g = gen_family("path", 4)
+        params = BlowupParams(6, 2)
+        blown = blowup_iterate(g, params)
+        assert blown.vertex_count == 196
+        assert tau_exact(blown) == tau_blowup_closed(1, 4, 3, params)
 
     def test_kemeny_direct(self):
         assert kemeny_direct(K3) == pytest.approx(4 / 3)
