@@ -28,14 +28,13 @@ import scipy.linalg
 from ._exact import fraction_inverse, modular_determinant
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import (
-    InconsistentSpectrumError,
     InternalAssertionError,
     InvalidParameterError,
     NumericalFailureError,
     SizeCapExceededError,
 )
 from .graphs import Graph, require_connected
-from .spectral import SpectrumMultiset, laplacian_spectrum
+from .spectral import SpectrumMultiset, laplacian_spectrum, zero_index
 
 DEFAULT_EXACT_CAP = 200
 
@@ -84,16 +83,7 @@ class IndexReport:
 
 def _nonzero_entries(sigma: SpectrumMultiset):
     """Entries of a connected graph's spectrum with the single 0 removed."""
-    zero = [
-        (i, m)
-        for i, (v, m) in enumerate(sigma.entries)
-        if abs(float(v)) <= sigma.cluster_tol
-    ]
-    if len(zero) != 1 or zero[0][1] != 1:
-        raise InconsistentSpectrumError(
-            "spectrum must contain eigenvalue 0 with multiplicity exactly 1"
-        )
-    skip = zero[0][0]
+    skip = zero_index(sigma)
     return [entry for i, entry in enumerate(sigma.entries) if i != skip]
 
 

@@ -240,6 +240,16 @@ def _locate(entries, target: float, tol: float) -> list[int]:
     return [i for i, (v, _) in enumerate(entries) if abs(float(v) - target) <= tol]
 
 
+def zero_index(sigma: SpectrumMultiset) -> int:
+    """Index of the entry at eigenvalue 0, which a connected graph has exactly once."""
+    zero_at = _locate(sigma.entries, 0.0, sigma.cluster_tol)
+    if len(zero_at) != 1 or sigma.entries[zero_at[0]][1] != 1:
+        raise InconsistentSpectrumError(
+            "spectrum must contain eigenvalue 0 with multiplicity exactly 1"
+        )
+    return zero_at[0]
+
+
 def spectrum_by_theorem(
     sigma_g: SpectrumMultiset,
     n0: int,
@@ -259,12 +269,7 @@ def spectrum_by_theorem(
     tol = sigma_g.cluster_tol
     entries = list(sigma_g.entries)
 
-    zero_at = _locate(entries, 0.0, tol)
-    if len(zero_at) != 1 or entries[zero_at[0]][1] != 1:
-        raise InconsistentSpectrumError(
-            "spectrum must contain eigenvalue 0 with multiplicity exactly 1"
-        )
-    excluded = {zero_at[0]}
+    excluded = {zero_index(sigma_g)}
     if bipartite:
         two_at = _locate(entries, 2.0, tol)
         if not two_at:

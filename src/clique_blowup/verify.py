@@ -4,6 +4,8 @@ Every claim the package makes is checked twice: theorem-mapped spectra
 against direct eigendecompositions, closed-form index recurrences against
 resistance-distance and matrix-tree oracles, plus the structural spectrum
 properties (trace, range, bipartite symmetry, incidence rank dichotomy).
+Each corpus graph's spectrum, bipartite flag, exact Kf* and exact tau are
+computed once, by ``base_facts``, and shared by all of its checks.
 Cells whose blowups exceed the size caps are skipped, not failed.
 """
 
@@ -12,12 +14,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import indexes
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate
-from .errors import CliqueBlowupError
+from .blowup import (
+    DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate, clique_blowup
+)
+from .errors import CliqueBlowupError, InvalidParameterError
 from .graphs import (
     Graph,
     bipartition,
@@ -27,6 +32,7 @@ from .graphs import (
 )
 from .spectral import (
     DEFAULT_MATCH_TOL,
+    SpectrumMultiset,
     laplacian_spectrum,
     multiset_match,
     spectrum_iterated,
@@ -114,11 +120,43 @@ def _rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
 
+@dataclass(frozen=True)
+class BaseFacts:
+    """Facts of one corpus graph that its checks share; exact ones None over the cap."""
+
+    spectrum: SpectrumMultiset
+    bipartite: bool
+    kf_star: Fraction | None
+    tau: int | None
+
+
+def base_facts(g: Graph, exact_cap: int = indexes.DEFAULT_EXACT_CAP) -> BaseFacts:
+    """Numeric spectrum, bipartite flag, exact Kf* and exact tau of g."""
+    spectrum = laplacian_spectrum(g)
+    bipartite = bipartition(g).is_bipartite
+    if g.vertex_count > exact_cap:
+        return BaseFacts(spectrum, bipartite, None, None)
+    kf_star = indexes.kf_star_exact(g, max_order=exact_cap)
+    tau = indexes.tau_exact(g, max_order=exact_cap)
+    return BaseFacts(spectrum, bipartite, kf_star, tau)
+
+
+def _oracle_checks(add, prefix: str, g: Graph, sigma, kf_direct: float, tau: int):
+    """Spectral Kf*, Kemeny and tau of g against the resistance and tree oracles."""
+    m = g.edge_count
+    kf_s = indexes.kf_star_spectral(sigma, m)
+    ke_s = indexes.kemeny_spectral(sigma)
+    tau_s = indexes.tau_spectral(g, sigma)
+    kf_ok = _rel_close(kf_s, kf_direct, ORACLE_KF_RTOL)
+    add(prefix + "kf-oracle", kf_ok, f"{kf_s} vs {kf_direct}")
+    tau_ok = abs(tau_s - tau) <= ORACLE_TAU_RTOL * tau
+    add(prefix + "tau-oracle", tau_ok, f"{tau_s} vs {tau}")
+    identity_ok = abs(kf_s - 2 * m * ke_s) <= IDENTITY_RTOL * abs(kf_s)
+    add(prefix + "kf-kemeny-identity", identity_ok, f"{kf_s} vs {2 * m * ke_s}")
+
+
 def graph_checks(
-    name: str,
-    g: Graph,
-    tol: float = DEFAULT_MATCH_TOL,
-    exact_cap: int = indexes.DEFAULT_EXACT_CAP,
+    name: str, g: Graph, base: BaseFacts, tol: float = DEFAULT_MATCH_TOL
 ) -> list[CheckResult]:
     """Structural and oracle-closure checks on a single corpus graph."""
     out: list[CheckResult] = []
@@ -129,12 +167,11 @@ def graph_checks(
     add("degree-sum", sum(g.degrees) == 2 * g.edge_count)
     add("serialize-roundtrip", parse_edge_list(serialize_edge_list(g)) == g)
 
-    bip = bipartition(g).is_bipartite
     rank = incidence_rank(g)
-    expected_rank = g.vertex_count - (1 if bip else 0)
+    expected_rank = g.vertex_count - (1 if base.bipartite else 0)
     add("incidence-rank", rank == expected_rank, f"rank {rank} vs {expected_rank}")
 
-    sigma = laplacian_spectrum(g)
+    sigma = base.spectrum
     flat = sigma.flatten()
     trace = sum(float(v) * m for v, m in sigma.entries)
     add(
@@ -147,7 +184,7 @@ def graph_checks(
         all(0.0 <= v <= 2.0 + RANGE_SLACK for v in flat),
         f"min {min(flat)} max {max(flat)}",
     )
-    if bip:
+    if base.bipartite:
         mirrored = sorted(2.0 - v for v in flat)
         add(
             "bipartite-symmetry",
@@ -157,44 +194,25 @@ def graph_checks(
     else:
         add("lambda-max-below-two", max(flat) < 2.0 - NONBIP_GAP, f"max {max(flat)}")
 
-    if g.vertex_count <= exact_cap:
-        m = g.edge_count
-        kf_s = indexes.kf_star_spectral(sigma, m)
-        ke_s = indexes.kemeny_spectral(sigma)
-        kf_d = indexes.kf_star_direct(g)
-        tau_s = indexes.tau_spectral(g, sigma)
-        tau_e = indexes.tau_exact(g, max_order=exact_cap)
-        add("kf-oracle", _rel_close(kf_s, kf_d, ORACLE_KF_RTOL), f"{kf_s} vs {kf_d}")
-        add(
-            "tau-oracle",
-            abs(tau_s - tau_e) <= ORACLE_TAU_RTOL * tau_e,
-            f"{tau_s} vs {tau_e}",
-        )
-        add(
-            "kf-kemeny-identity",
-            abs(kf_s - 2 * m * ke_s) <= IDENTITY_RTOL * abs(kf_s),
-            f"{kf_s} vs {2 * m * ke_s}",
-        )
+    if base.tau is not None:
+        _oracle_checks(add, "", g, sigma, indexes.kf_star_direct(g), base.tau)
+        # shortest detour through one middle vertex k at a time: O(N^2) memory
         res = indexes.resistance_matrix(g)
-        detours = np.min(res[:, :, None] + res[None, :, :], axis=1)
+        detours = np.full_like(res, np.inf)
+        for k in range(len(res)):
+            np.minimum(detours, res[:, k, None] + res[None, k, :], out=detours)
         add("resistance-metric", bool(np.all(detours >= res - 1e-9)))
     return out
 
 
 def monotonicity_checks(
-    name: str,
-    g: Graph,
-    n_list,
-    r_max: int,
-    exact_cap: int = indexes.DEFAULT_EXACT_CAP,
+    name: str, g: Graph, base: BaseFacts, n_list, r_max: int
 ) -> list[CheckResult]:
     """Kf*, Kemeny, tau strictly increase with the iteration depth."""
     out: list[CheckResult] = []
-    if g.vertex_count > exact_cap or r_max < 1:
+    if base.kf_star is None or r_max < 1:
         return out
-    kf0 = indexes.kf_star_exact(g, max_order=exact_cap)
-    tau0 = indexes.tau_exact(g, max_order=exact_cap)
-    n0, e0 = g.vertex_count, g.edge_count
+    kf0, tau0, n0, e0 = base.kf_star, base.tau, g.vertex_count, g.edge_count
     for n in n_list:
         levels = [
             indexes._closed_form_lift(kf0, tau0, n0, e0, BlowupParams(n, r))
@@ -210,13 +228,14 @@ def monotonicity_checks(
 def cell_checks(
     name: str,
     g: Graph,
+    base: BaseFacts | CliqueBlowupError,
     n: int,
     r: int,
     tol: float = DEFAULT_MATCH_TOL,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     exact_cap: int = indexes.DEFAULT_EXACT_CAP,
 ) -> list[CheckResult]:
-    """All cross-route checks for one (graph, n, r) grid cell."""
+    """All cross-route checks for one (graph, n, r) grid cell, r >= 1."""
     subject = f"{name} n={n},r={r}"
     out: list[CheckResult] = []
 
@@ -224,12 +243,16 @@ def cell_checks(
         out.append(CheckResult(check, subject, passed, detail, skipped))
 
     params = BlowupParams(n, r)
-    counts = blowup_counts(g.vertex_count, g.edge_count, params)
+    n0, e0 = g.vertex_count, g.edge_count
+    counts = blowup_counts(n0, e0, params)
     if counts.vertices > max_vertices:
         add("cell", True, f"skipped: {counts.vertices} vertices over cap", skipped=True)
         return out
+    if isinstance(base, CliqueBlowupError):  # the graph's own facts failed
+        raise base
 
-    blown = blowup_iterate(g, params, max_vertices=max_vertices)
+    prev = blowup_iterate(g, BlowupParams(n, r - 1), max_vertices=max_vertices)
+    blown = clique_blowup(prev, n)
     add(
         "blowup-counts",
         (blown.vertex_count, blown.edge_count) == (counts.vertices, counts.edges),
@@ -237,42 +260,33 @@ def cell_checks(
     )
     add("blowup-nonbipartite", not bipartition(blown).is_bipartite)
     # one-step degree contract, checked between the last two levels
-    prev = blowup_iterate(g, BlowupParams(n, r - 1), max_vertices=max_vertices)
     degree_ok = all(
         blown.degrees[i] == (n - 1) * prev.degrees[i] for i in range(prev.vertex_count)
     ) and all(d == n - 1 for d in blown.degrees[prev.vertex_count :])
     add("blowup-degrees", degree_ok)
 
-    sigma_base = laplacian_spectrum(g)
-    bip = bipartition(g).is_bipartite
-    themed = spectrum_iterated(sigma_base, g.vertex_count, g.edge_count, params, bip)
+    themed = spectrum_iterated(base.spectrum, n0, e0, params, base.bipartite)
     numeric = laplacian_spectrum(blown)
     report = multiset_match(themed, numeric, tol)
     add("spectrum-equivalence", report.matched, report.detail)
 
     if r == 1:
+        # off the two new clusters, (n - 1) * v is an eigenvalue of the base
         low, high = 2.0 / (n - 1), float(n) / (n - 1)
-        base_flat = sigma_base.flatten()
-        scaling_ok = True
-        for v, _ in numeric.entries:
-            v = float(v)
-            if (
-                abs(v - low) <= numeric.cluster_tol
-                or abs(v - high) <= numeric.cluster_tol
-            ):
-                continue
-            if not any(
+        base_flat = base.spectrum.flatten()
+        scaling_ok = all(
+            abs(v - low) <= numeric.cluster_tol
+            or abs(v - high) <= numeric.cluster_tol
+            or any(
                 abs((n - 1) * v - lam) <= tol * max(1.0, abs(lam)) for lam in base_flat
-            ):
-                scaling_ok = False
-                break
+            )
+            for v in (float(v) for v, _ in numeric.entries)
+        )
         add("one-step-scaling", scaling_ok)
 
-    if g.vertex_count <= exact_cap:
-        kf0 = indexes.kf_star_exact(g, max_order=exact_cap)
-        tau0 = indexes.tau_exact(g, max_order=exact_cap)
+    if base.kf_star is not None:
         kf_closed, ke_closed, tau_closed = indexes._closed_form_lift(
-            kf0, tau0, g.vertex_count, g.edge_count, params
+            base.kf_star, base.tau, n0, e0, params
         )
         add(
             "closed-kf-kemeny-identity",
@@ -287,38 +301,18 @@ def cell_checks(
         )
         if blown.vertex_count <= exact_cap:
             tau_direct = indexes.tau_exact(blown, max_order=exact_cap)
-            add(
-                "closed-vs-oracle-tau",
-                tau_closed == tau_direct,
-                f"{tau_closed} vs {tau_direct}",
-            )
-            kf_blown = indexes.kf_star_spectral(numeric, blown.edge_count)
-            ke_blown = indexes.kemeny_spectral(numeric)
-            tau_blown = indexes.tau_spectral(blown, numeric)
-            add(
-                "blowup-kf-oracle",
-                _rel_close(kf_blown, kf_direct, ORACLE_KF_RTOL),
-                f"{kf_blown} vs {kf_direct}",
-            )
-            add(
-                "blowup-tau-oracle",
-                abs(tau_blown - tau_direct) <= ORACLE_TAU_RTOL * tau_direct,
-                f"{tau_blown} vs {tau_direct}",
-            )
-            add(
-                "blowup-kf-kemeny-identity",
-                abs(kf_blown - 2 * blown.edge_count * ke_blown)
-                <= IDENTITY_RTOL * abs(kf_blown),
-            )
+            tau_ok = tau_closed == tau_direct
+            add("closed-vs-oracle-tau", tau_ok, f"{tau_closed} vs {tau_direct}")
+            _oracle_checks(add, "blowup-", blown, numeric, kf_direct, tau_direct)
         else:
             add("closed-vs-oracle-tau", True, "skipped: over exact cap", skipped=True)
     return out
 
 
 def _run_cell(task) -> list[CheckResult]:
-    name, g, n, r, tol, max_vertices, exact_cap = task
+    name, g, base, n, r, tol, max_vertices, exact_cap = task
     try:
-        return cell_checks(name, g, n, r, tol, max_vertices, exact_cap)
+        return cell_checks(name, g, base, n, r, tol, max_vertices, exact_cap)
     except CliqueBlowupError as exc:
         return [CheckResult("cell", f"{name} n={n},r={r}", False, f"error: {exc}")]
 
@@ -332,21 +326,26 @@ def run_verification(
     exact_cap: int = indexes.DEFAULT_EXACT_CAP,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Run the full suite over corpus x n_list x r_list."""
-    report = VerifyReport(tuple(n_list), tuple(r_list))
+    """Run the full suite over corpus x n_list x r_list (every n >= 3, r >= 1)."""
+    if min(n_list, default=3) < 3 or min(r_list, default=1) < 1:
+        raise InvalidParameterError("verify needs every n >= 3 and every r >= 1")
+    results: list[CheckResult] = []
+    r_max = max(r_list, default=0)
+    bases = []
     for name, g in corpus:
+        base = None
         try:
-            report.results.extend(graph_checks(name, g, tol, exact_cap))
-            report.results.extend(
-                monotonicity_checks(name, g, n_list, max(r_list, default=0), exact_cap)
-            )
+            base = base_facts(g, exact_cap)
+            results.extend(graph_checks(name, g, base, tol))
+            results.extend(monotonicity_checks(name, g, base, n_list, r_max))
         except CliqueBlowupError as exc:
-            report.results.append(
-                CheckResult("structural", name, False, f"error: {exc}")
-            )
+            results.append(CheckResult("structural", name, False, f"error: {exc}"))
+            if base is None:
+                base = exc
+        bases.append(base)
     tasks = [
-        (name, g, n, r, tol, max_vertices, exact_cap)
-        for name, g in corpus
+        (name, g, base, n, r, tol, max_vertices, exact_cap)
+        for (name, g), base in zip(corpus, bases)
         for n in n_list
         for r in r_list
     ]
@@ -354,9 +353,9 @@ def run_verification(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for results in pool.map(_run_cell, tasks):
-                report.results.extend(results)
+            for cell_results in pool.map(_run_cell, tasks):
+                results.extend(cell_results)
     else:
         for task in tasks:
-            report.results.extend(_run_cell(task))
-    return report
+            results.extend(_run_cell(task))
+    return VerifyReport(tuple(n_list), tuple(r_list), results)

@@ -273,6 +273,31 @@ class TestVerify:
             "RESULT: PASS (66 checks, 0 failures, 0 skipped)\n"
         )
 
+    def test_failing_graph_fails_its_cells(self, capsys):
+        # path:1 has an isolated vertex: its structural checks and its one
+        # cell each fail once, and path:3 still runs
+        code, out, err = run(
+            capsys, "verify", "--corpus", "path:1,path:3", "--n-list", "3", "--r-list", "1",
+        )
+        assert code == 1
+        assert out == (
+            "graph   structural  n=3,r=1\n"
+            "path:1  FAIL        FAIL   \n"
+            "path:3  ok          ok     \n"
+            "RESULT: FAIL (25 checks, 2 failures, 0 skipped)\n"
+        )
+        assert err == (
+            "first failure: structural on path:1: "
+            "error: normalized Laplacian needs every degree >= 1\n"
+        )
+
+    @pytest.mark.parametrize("grid", [["--n-list", "2"], ["--r-list", "0"], ["--r-list=-1"]])
+    def test_invalid_grid_exits_2(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--corpus", "complete:3", *grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("corpus", ["", ","])
     def test_empty_corpus_exits_2(self, capsys, corpus):
         code, _, err = run(capsys, "verify", "--corpus", corpus)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from clique_blowup import (
@@ -11,10 +12,11 @@ from clique_blowup import (
     gen_family,
     graph_from_spec,
     petersen,
+    blowup_counts,
     run_verification,
 )
 from clique_blowup import indexes, verify
-from clique_blowup.verify import cell_checks, graph_checks
+from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
 
 class TestCorpus:
@@ -44,17 +46,54 @@ class TestCorpus:
 class TestHarness:
     def test_graph_checks_pass_on_corpus(self, corpus):
         for name, g in corpus:
-            results = graph_checks(name, g)
+            results = graph_checks(name, g, base_facts(g))
             assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_cell_checks_pass(self):
-        results = cell_checks("complete:3", gen_family("complete", 3), 5, 1)
+        g = gen_family("complete", 3)
+        results = cell_checks("complete:3", g, base_facts(g), 5, 1)
         assert results and all(r.passed for r in results)
 
     def test_cell_skips_over_cap(self):
-        results = cell_checks("complete:3", gen_family("complete", 3), 5, 3,
-                              max_vertices=100)
+        g = gen_family("complete", 3)
+        results = cell_checks("complete:3", g, base_facts(g), 5, 3, max_vertices=100)
         assert len(results) == 1 and results[0].skipped and results[0].passed
+
+    def test_base_exact_facts_computed_once_per_graph(self, monkeypatch):
+        calls = {"kf_star_exact": 0, "tau_exact": 0}
+
+        def counted(attr):
+            original = getattr(indexes, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(indexes, attr, counted(attr))
+        corpus = [("complete:3", gen_family("complete", 3)),
+                  ("cycle:4", gen_family("cycle", 4))]
+        exact_cap = 10  # the r = 2 blowups (15 and 20 vertices) are over it
+        report = run_verification(corpus, [3], [1, 2], exact_cap=exact_cap)
+        assert report.passed
+        cells_within_cap = sum(
+            blowup_counts(g.vertex_count, g.edge_count, BlowupParams(3, r)).vertices
+            <= exact_cap
+            for _, g in corpus
+            for r in (1, 2)
+        )
+        assert cells_within_cap == 2
+        assert calls == {"kf_star_exact": 2, "tau_exact": 2 + cells_within_cap}
+
+    def test_resistance_triangle_violation_fails(self, monkeypatch):
+        # d(0, 2) = 5 exceeds the detour d(0, 1) + d(1, 2) = 2
+        broken = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        monkeypatch.setattr(indexes, "resistance_matrix", lambda g: broken.copy())
+        g = gen_family("path", 3)
+        results = graph_checks("path:3", g, base_facts(g))
+        assert "resistance-metric" in {r.check for r in results if not r.passed}
 
     def test_small_grid_report(self):
         corpus = [("complete:2", gen_family("complete", 2))]
