@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from ._exact import fraction_inverse, modular_determinant
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
@@ -130,16 +129,18 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     """Effective resistances between all vertex pairs.
 
     Uses the pseudoinverse of the combinatorial Laplacian through the
-    rank-one shift (L + J/N)^{-1} - J/N, solved by a symmetric positive
-    definite factorization.
+    rank-one shift (L + J/N)^{-1} - J/N. For a connected graph the shifted
+    matrix is positive definite, so it has a Cholesky factor C (the
+    factorization fails otherwise) and (L + J/N)^{-1} = C^{-T} C^{-1}.
     """
     require_connected(g)
     size = g.vertex_count
     shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / size
     try:
-        pinv = scipy.linalg.solve(shifted, np.eye(size), assume_a="pos") - 1.0 / size
-    except scipy.linalg.LinAlgError as exc:
+        inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
+    pinv = inv_factor.T @ inv_factor - 1.0 / size
     pinv = (pinv + pinv.T) / 2.0
     diag = np.diag(pinv)
     res = diag[:, None] + diag[None, :] - 2.0 * pinv

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
 from .errors import (
@@ -210,8 +209,9 @@ def eig_sym(
 ) -> SpectrumMultiset:
     """Full spectrum of a dense symmetric matrix, clustered.
 
-    LAPACK's symmetric solver (tridiagonalize, then divide and conquer) is
-    deterministic for a fixed input, which the test fixtures rely on.
+    numpy.linalg.eigvalsh calls LAPACK syevd (tridiagonalize, then divide
+    and conquer), which is deterministic for a fixed input; the test
+    fixtures rely on that.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -223,7 +223,7 @@ def eig_sym(
     deviation = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
     if deviation > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {deviation:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    values = scipy.linalg.eigh(matrix, eigvals_only=True)
+    values = np.linalg.eigvalsh(matrix)
     return SpectrumMultiset.from_eigenvalues(values, cluster_tol=cluster_tol)
 
 
@@ -289,24 +289,12 @@ def spectrum_by_theorem(
             "inconsistent counts for a connected graph"
         )
 
-    exact = sigma_g.is_exact
-    if exact:
-        scaled = [
-            (v / (n - 1), m) for i, (v, m) in enumerate(entries) if i not in excluded
-        ]
-        out: list[tuple[Value, int]] = [(Fraction(0), 1)]
-        low: Value = Fraction(2, n - 1)
-        high: Value = Fraction(n, n - 1)
-    else:
-        scaled = [
-            (float(v) / (n - 1), m)
-            for i, (v, m) in enumerate(entries)
-            if i not in excluded
-        ]
-        out = [(0.0, 1)]
-        low = 2.0 / (n - 1)
-        high = float(n) / (n - 1)
-    out.extend(scaled)
+    cast = Fraction if sigma_g.is_exact else float
+    out: list[tuple[Value, int]] = [(cast(0), 1)]
+    out.extend(
+        (cast(v) / (n - 1), m) for i, (v, m) in enumerate(entries) if i not in excluded
+    )
+    low, high = cast(2) / (n - 1), cast(n) / (n - 1)
     if mult_low > 0:
         out.append((low, mult_low))
     out.append((high, (n - 3) * e0 + n0))

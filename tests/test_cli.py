@@ -214,6 +214,22 @@ class TestIndexes:
         )
         assert proc.stderr == ""
 
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(clique_blowup.__file__))
+        code = (
+            "import sys, clique_blowup.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_closed_form_json_output_is_pinned(self, capsys):
         code, out, err = run(
             capsys,

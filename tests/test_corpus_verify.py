@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,41 @@ class TestHarness:
         g = gen_family("path", 3)
         results = graph_checks("path:3", g, base_facts(g))
         assert "resistance-metric" in {r.check for r in results if not r.passed}
+
+    def test_wrong_base_kf_star_fails_kemeny_oracle(self):
+        g = petersen()
+        base = dataclasses.replace(base_facts(g), kf_star=297 + 1)
+        results = graph_checks("petersen", g, base)
+        assert {r.check for r in results if not r.passed} == {"kemeny-oracle"}
+
+    def test_wrong_closed_kemeny_fails_blowup_kemeny_oracle(self, monkeypatch):
+        original = indexes.kemeny_blowup_closed
+        monkeypatch.setattr(
+            indexes,
+            "kemeny_blowup_closed",
+            lambda ke, n0, e0, params: original(ke, n0, e0, params) + 1,
+        )
+        g = gen_family("complete", 3)
+        results = cell_checks("complete:3", g, base_facts(g), 3, 1)
+        assert "blowup-kemeny-oracle" in {r.check for r in results if not r.passed}
+
+    def test_incidence_rank_skipped_over_exact_cap(self, monkeypatch):
+        def not_called(g):
+            raise AssertionError("incidence_rank called over the exact cap")
+
+        monkeypatch.setattr(verify, "incidence_rank", not_called)
+        g = petersen()
+        results = graph_checks("petersen", g, base_facts(g, exact_cap=5))
+        rank = [r for r in results if r.check == "incidence-rank"]
+        assert len(rank) == 1 and rank[0].skipped and rank[0].passed
+        assert rank[0].detail == "skipped: over exact cap"
+
+    def test_long_odd_cycle_passes_graph_checks(self):
+        # 2 - lambda_max is 9.99e-7 here, so a fixed gap of 1e-6 would fail it
+        g = graph_from_spec("cycle:2223")
+        results = graph_checks("cycle:2223", g, base_facts(g))
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+        assert "lambda-max-below-two" in {r.check for r in results if not r.skipped}
 
     def test_small_grid_report(self):
         corpus = [("complete:2", gen_family("complete", 2))]

@@ -11,6 +11,7 @@ from clique_blowup import (
     IndexReport,
     InternalAssertionError,
     InvalidParameterError,
+    NumericalFailureError,
     SizeCapExceededError,
     SpectrumMultiset,
     blowup_iterate,
@@ -31,6 +32,7 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
+from clique_blowup import indexes
 from clique_blowup._exact import bareiss_determinant
 from clique_blowup.blowup import blowup_counts, count_sequence
 from clique_blowup.indexes import _combinatorial_laplacian
@@ -114,6 +116,14 @@ class TestResistance:
     def test_exact_cap(self):
         with pytest.raises(SizeCapExceededError):
             resistance_matrix_exact(petersen(), max_order=5)
+
+    def test_indefinite_shifted_laplacian_raises(self, monkeypatch):
+        # L + J/N = [[0.5, -4.5], [-4.5, 0.5]] has no Cholesky factor
+        monkeypatch.setattr(
+            indexes, "_combinatorial_laplacian", lambda g: [[0, -5], [-5, 0]]
+        )
+        with pytest.raises(NumericalFailureError, match="shifted Laplacian solve"):
+            resistance_matrix(K2)
 
 
 class TestOracles:
