@@ -14,7 +14,6 @@ floating-point rounding.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -69,12 +68,28 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     entry can vanish mod p without vanishing over Q. A column with no
     nonzero entry mod p makes that prime's residue 0, which is a true
     residue and still enters the reconstruction.
+
+    The elimination is sparsity-aware. Rows and columns are first permuted
+    by one symmetric permutation into ascending order of nonzero count,
+    which leaves the determinant unchanged (det PAP^T = det A); on a graph
+    Laplacian minor this eliminates the lowest-degree vertices first, so
+    the fill stays inside their cliques (the minimum-degree ordering of
+    Markowitz 1957 and Rose 1972). Each step then updates only the rows
+    nonzero in the pivot column and the columns nonzero in the pivot row,
+    taking the union over all primes: a zero multiplier for one prime is a
+    no-op, so the restricted update is exact. The gather and scatter cost
+    more than slicing does, so a dense matrix takes about twice as long as
+    a dense update would; the only caller, ``tau_exact``, passes Laplacian
+    minors with about degree + 1 nonzeros per row.
     """
     size = len(matrix)
+    bound_sq, counts = 1, []
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-    bound_sq = math.prod(sum(x * x for x in row) for row in matrix)
+        bound_sq *= sum(x * x for x in row)
+        counts.append(sum(1 for x in row if x))
+    order = np.argsort(counts, kind="stable")
     plist: list[int] = []
     modulus = 1
     while modulus * modulus <= 4 * bound_sq:
@@ -84,30 +99,32 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     p_col = primes[:, None]
     p_cube = primes[:, None, None]
     try:
-        a = np.array(matrix, dtype=np.int64).reshape(1, size, size) % p_cube
+        a = np.array(matrix, dtype=np.int64).reshape(size, size)
+        a = a[np.ix_(order, order)].reshape(1, size, size) % p_cube
     except OverflowError:
         # entries beyond int64: reduce as Python ints first
-        big = np.array(matrix, dtype=object).reshape(size, size)
+        big = np.array(matrix, dtype=object).reshape(size, size)[np.ix_(order, order)]
         reduced = [big % p for p in plist]
         a = np.array(reduced, dtype=np.int64).reshape(len(plist), size, size)
     det = np.ones(len(plist), dtype=np.int64)
     negate = np.zeros(len(plist), dtype=bool)
-    for _ in range(size):
-        first = (a[:, :, 0] != 0).argmax(axis=1)
+    for k in range(size):
+        first = (a[:, k:, k] != 0).argmax(axis=1)
         for j in np.flatnonzero(first):
-            a[j, [0, first[j]]] = a[j, [first[j], 0]]
+            a[j, [k, k + first[j]]] = a[j, [k + first[j], k]]
         negate ^= first != 0
-        pivot = a[:, 0, 0]
+        pivot = a[:, k, k]
         det = det * pivot % primes
         inverse = np.array(
             [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), plist)],
             dtype=np.int64,
         )
-        row = a[:, 0, 1:] * inverse[:, None] % p_col
-        rest = a[:, 1:, 1:]
-        rest -= a[:, 1:, :1] * row[:, None, :]
-        rest %= p_cube
-        a = rest
+        below, right = a[:, k + 1 :, k], a[:, k, k + 1 :]
+        rows = np.flatnonzero(below.any(axis=0))
+        cols = np.flatnonzero(right.any(axis=0))
+        row = right[:, cols] * inverse[:, None] % p_col
+        r, c = k + 1 + rows[:, None], k + 1 + cols
+        a[:, r, c] = (a[:, r, c] - below[:, rows, None] * row[:, None, :]) % p_cube
     det = np.where(negate, (primes - det) % primes, det)
     value, modulus = 0, 1
     for residue, p in zip(det.tolist(), plist):

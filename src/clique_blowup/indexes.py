@@ -135,17 +135,25 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     """
     require_connected(g)
     size = g.vertex_count
-    shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / size
+    shifted = np.asarray(_combinatorial_laplacian(g), dtype=float)
+    shifted += 1.0 / size
     try:
-        inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
+        factor = np.linalg.cholesky(shifted)
+        del shifted
+        factor = np.linalg.inv(factor)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
-    pinv = inv_factor.T @ inv_factor - 1.0 / size
-    pinv = (pinv + pinv.T) / 2.0
-    diag = np.diag(pinv)
-    res = diag[:, None] + diag[None, :] - 2.0 * pinv
-    np.fill_diagonal(res, 0.0)
-    return res
+    pinv = factor.T @ factor
+    del factor
+    pinv -= 1.0 / size
+    pinv += pinv.T  # numpy reads the overlapping operand as if copied first
+    pinv /= 2.0
+    diag = pinv.diagonal().copy()
+    # (d_i + d_j) - 2 p_ij, written into pinv: x - y is x + (-y) exactly
+    pinv *= -2.0
+    pinv += diag[:, None] + diag[None, :]
+    np.fill_diagonal(pinv, 0.0)
+    return pinv
 
 
 def resistance_matrix_exact(

@@ -36,6 +36,7 @@ from .graphs import Graph, require_connected
 DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MATCH_TOL = 1e-7
 SYMMETRY_TOL = 1e-12
+SYMMETRY_BLOCK = 256
 
 Value = Fraction | float
 
@@ -196,9 +197,9 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     if any(d == 0 for d in g.degrees):
         raise DegreeZeroError("normalized Laplacian needs every degree >= 1")
     inv_sqrt = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=float))
+    us, vs = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     m = np.eye(g.vertex_count)
-    for u, v in g.edges:
-        m[u, v] = m[v, u] = -inv_sqrt[u] * inv_sqrt[v]
+    m[us, vs] = m[vs, us] = -inv_sqrt[us] * inv_sqrt[vs]
     return m
 
 
@@ -220,7 +221,13 @@ def eig_sym(
         raise SizeCapExceededError(
             f"matrix order {matrix.shape[0]} exceeds cap {max_order}"
         )
-    deviation = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    # row blocks keep the temporaries at SYMMETRY_BLOCK x N instead of N x N
+    step = SYMMETRY_BLOCK
+    block_max = [
+        np.max(np.abs(matrix[i : i + step] - matrix[:, i : i + step].T))
+        for i in range(0, len(matrix), step)
+    ]
+    deviation = float(np.max(block_max, initial=0.0))
     if deviation > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {deviation:.3e} exceeds {SYMMETRY_TOL:.0e}")
     values = np.linalg.eigvalsh(matrix)

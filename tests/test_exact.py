@@ -33,6 +33,20 @@ square_int_matrices = st.integers(0, 8).flatmap(
 )
 
 
+@st.composite
+def sparse_int_matrices(draw):
+    """Square, not symmetric, with 10-30% of the entries nonzero."""
+    n = draw(st.integers(1, 20))
+    count = draw(st.integers(max(1, n * n // 10), max(1, 3 * n * n // 10)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    cells = draw(st.lists(cell, min_size=count, max_size=count, unique=True))
+    values = draw(st.lists(entries.filter(bool), min_size=count, max_size=count))
+    matrix = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(cells, values):
+        matrix[i][j] = v
+    return matrix
+
+
 def sylvester_hadamard(order: int) -> list[list[int]]:
     h = np.array([[1]])
     while len(h) < order:
@@ -66,6 +80,21 @@ def test_determinant_of_empty_and_singular():
 @given(square_int_matrices)
 def test_modular_determinant_matches_bareiss(matrix):
     assert modular_determinant(matrix) == bareiss_determinant(matrix)
+
+
+@given(sparse_int_matrices())
+def test_modular_determinant_matches_bareiss_on_sparse(matrix):
+    assert modular_determinant(matrix) == bareiss_determinant(matrix)
+
+
+def test_modular_determinant_pivot_vanishes_after_reordering():
+    # Nonzero counts 3, 2, 3 put the rows in order 1, 0, 2, giving
+    # [[1, 1, 0], [1, 1 + p, 1], [1, 2, 3]]. After the first step the second
+    # pivot is p: zero mod p only, so that prime alone swaps in the third row,
+    # whose entry below the pivot then vanishes mod p but not mod the others.
+    p = _primes(1)[0]
+    matrix = [[1 + p, 1, 1], [1, 1, 0], [2, 1, 3]]
+    assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p - 1
 
 
 def test_modular_determinant_at_the_hadamard_bound():

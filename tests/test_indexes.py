@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from clique_blowup import (
     BlowupParams,
+    Graph,
     InconsistentSpectrumError,
     IndexReport,
     InternalAssertionError,
@@ -117,6 +119,20 @@ class TestResistance:
         with pytest.raises(SizeCapExceededError):
             resistance_matrix_exact(petersen(), max_order=5)
 
+    def test_equals_two_step_reference(self, corpus):
+        # reference: the same solve keeping every intermediate array, bit for bit
+        blown = blowup_iterate(gen_family("cycle", 5), BlowupParams(4, 2))
+        for g in [g for _, g in corpus] + [blown]:
+            size = g.vertex_count
+            shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / size
+            inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
+            pinv = inv_factor.T @ inv_factor - 1.0 / size
+            pinv = (pinv + pinv.T) / 2.0
+            diag = np.diag(pinv)
+            expected = diag[:, None] + diag[None, :] - 2.0 * pinv
+            np.fill_diagonal(expected, 0.0)
+            assert resistance_matrix(g).tobytes() == expected.tobytes()
+
     def test_indefinite_shifted_laplacian_raises(self, monkeypatch):
         # L + J/N = [[0.5, -4.5], [-4.5, 0.5]] has no Cholesky factor
         monkeypatch.setattr(
@@ -182,6 +198,15 @@ class TestOracles:
         blown = blowup_iterate(g, params)
         assert blown.vertex_count == 196
         assert tau_exact(blown) == tau_blowup_closed(1, 4, 3, params)
+
+    def test_tau_exact_does_not_depend_on_labels(self):
+        params = BlowupParams(6, 2)
+        blown = blowup_iterate(gen_family("path", 4), params)
+        label = list(range(blown.vertex_count))
+        random.Random(6).shuffle(label)
+        relabelled = Graph(blown.vertex_count, [(label[u], label[v]) for u, v in blown.edges])
+        assert relabelled.degrees != blown.degrees
+        assert tau_exact(relabelled) == tau_blowup_closed(1, 4, 3, params)
 
     def test_kemeny_direct(self):
         assert kemeny_direct(K3) == pytest.approx(4 / 3)

@@ -27,6 +27,7 @@ from clique_blowup import (
     spectrum_by_theorem,
     spectrum_iterated,
 )
+from clique_blowup.spectral import SYMMETRY_BLOCK
 
 from conftest import connected_graphs
 
@@ -56,6 +57,16 @@ class TestNormalizedLaplacian:
     def test_rejects_single_vertex(self):
         with pytest.raises(DegreeZeroError):
             normalized_laplacian(gen_family("path", 1))
+
+    def test_equals_edge_loop_fill(self, corpus):
+        # reference: the one-edge-at-a-time fill, the same products bit for bit
+        blown = blowup_iterate(gen_family("cycle", 5), BlowupParams(4, 2))
+        for g in [g for _, g in corpus] + [blown]:
+            inv_sqrt = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=float))
+            expected = np.eye(g.vertex_count)
+            for u, v in g.edges:
+                expected[u, v] = expected[v, u] = -inv_sqrt[u] * inv_sqrt[v]
+            assert normalized_laplacian(g).tobytes() == expected.tobytes()
 
 
 class TestEigSym:
@@ -93,6 +104,15 @@ class TestEigSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_asymmetry_in_last_partial_block(self):
+        size = 2 * SYMMETRY_BLOCK + 7
+        m = np.eye(size)
+        m[size - 1, 3] = 3e-9
+        deviation = float(np.max(np.abs(m - m.T)))
+        with pytest.raises(NotSymmetricError) as excinfo:
+            eig_sym(m)
+        assert str(excinfo.value) == f"asymmetry {deviation:.3e} exceeds 1e-12"
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidParameterError):
