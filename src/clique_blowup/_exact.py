@@ -3,7 +3,11 @@
 ``modular_determinant`` computes integer determinants by elimination modulo
 word-sized primes, all primes at once in numpy, and recovers the value by the
 Chinese remainder theorem. The number of primes comes from the Hadamard
-bound, so the result is certified, not probabilistic.
+bound, so the result is certified, not probabilistic. The elimination is
+built for sparse input: it eliminates the rows with the fewest nonzeros
+first and updates only the rows and columns that a pivot touches, so a
+blowup Laplacian minor stays sparse outside its cliques. Dense matrices are
+not its traffic and run about twice as slowly as a dense update would.
 
 Fraction-free (Bareiss) elimination on Python ints gives integer ranks and a
 reference determinant that the tests compare against; the rational

@@ -140,11 +140,12 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     try:
         factor = np.linalg.cholesky(shifted)
         del shifted
-        factor = np.linalg.inv(factor)
+        inv_factor = np.linalg.inv(factor)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
-    pinv = factor.T @ factor
     del factor
+    pinv = inv_factor.T @ inv_factor
+    del inv_factor
     pinv -= 1.0 / size
     pinv += pinv.T  # numpy reads the overlapping operand as if copied first
     pinv /= 2.0
