@@ -9,11 +9,11 @@ first and updates only the rows and columns that a pivot touches, so a
 blowup Laplacian minor stays sparse outside its cliques. Dense matrices are
 not its traffic and run about twice as slowly as a dense update would.
 
-Fraction-free (Bareiss) elimination on Python ints gives integer ranks and a
-reference determinant that the tests compare against; the rational
-Gauss-Jordan inverse is the exact Kf* route. All routines are exact; they
-exist so that rank dichotomies and spanning-tree counts never depend on
-floating-point rounding.
+One fraction-free (Bareiss) elimination on Python ints gives both integer
+ranks and a reference determinant that the tests compare against; the
+rational Gauss-Jordan inverse is the exact Kf* route. All routines are
+exact; they exist so that rank dichotomies and spanning-tree counts never
+depend on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -137,71 +137,51 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     return value - modulus if 2 * value > modulus else value
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix.
+def _bareiss(matrix: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of an integer matrix: (rank, swap sign, last pivot).
 
-    One-step fraction-free elimination: every intermediate entry is a minor
-    of the original matrix, so the division in the update rule is exact.
-    """
-    m = [list(row) for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    for row in m:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            # partial pivot: any nonzero entry below keeps exactness
-            pivot_row = next((i for i in range(k + 1, size) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
-def integer_rank(matrix: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, fraction-free.
-
-    Bareiss updates stay valid with column skips: after k pivots each entry
-    is a (k+1)x(k+1) minor of the original matrix, so dividing by the
-    previous pivot remains an exact integer division.
+    One-step Bareiss: after k pivots each entry is a (k+1)x(k+1) minor of
+    the original matrix, so the division by the previous pivot is exact,
+    also when a column without a pivot is skipped (Bareiss, Math. Comp.
+    1968). The last pivot is 1 when there is none.
     """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    rank = 0
-    prev = 1
-    row = 0
+    rank, sign, prev = 0, 1, 1
     for col in range(cols):
-        if row >= rows:
+        if rank == rows:
             break
-        pivot_row = next((i for i in range(row, rows) if m[i][col] != 0), None)
+        pivot_row = next((i for i in range(rank, rows) if m[i][col] != 0), None)
         if pivot_row is None:
             continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for i in range(row + 1, rows):
-            factor = m[i][col]
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for row in m[rank + 1 :]:
+            factor = row[col]
             for j in range(col + 1, cols):
-                m[i][j] = (m[i][j] * pivot - factor * m[row][j]) // prev
-            m[i][col] = 0
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+            row[col] = 0
         prev = pivot
         rank += 1
-        row += 1
-    return rank
+    return rank, sign, prev
+
+
+def bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, by fraction-free elimination."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix must be square")
+    rank, sign, last = _bareiss(matrix)
+    return sign * last if rank == size else 0
+
+
+def integer_rank(matrix: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, fraction-free."""
+    return _bareiss(matrix)[0]
 
 
 def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

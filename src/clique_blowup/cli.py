@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import indexes
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate
 from .corpus import DEFAULT_CORPUS_SPECS, graph_from_spec
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
 from .graphs import GRAPH_FAMILIES, Graph, bipartition, gen_family, parse_edge_list, serialize_edge_list
@@ -97,11 +97,6 @@ def cmd_spectra(args) -> int:
         if params.r == 0:
             themed = base
         else:
-            counts = blowup_counts(g.vertex_count, g.edge_count, params)
-            if counts.vertices > args.max_vertices:
-                raise SizeCapExceededError(
-                    f"{counts.vertices} vertices exceeds cap {args.max_vertices}"
-                )
             themed = spectrum_iterated(
                 base, g.vertex_count, g.edge_count, params, bipartition(g).is_bipartite
             )

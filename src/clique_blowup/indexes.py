@@ -4,9 +4,9 @@ Three mutually checking routes:
 
 * spectral: from a normalized Laplacian spectrum, Kf* = 2m * sum(1/lambda),
   Kemeny = sum(1/lambda), tau = (1/2m) * prod(d_i) * prod(lambda != 0);
-* oracle: resistance distances through the combinatorial Laplacian
-  pseudoinverse (Kf* = sum d_i d_j r_ij) and the exact matrix-tree
-  determinant for tau;
+* oracle: resistance distances through the shifted Laplacian inverse
+  (Kf* = sum d_i d_j r_ij, summed by one identity in float and in exact
+  arithmetic) and the exact matrix-tree determinant for tau;
 * closed form: one-step blowup recurrences iterated in exact big-integer /
   rational arithmetic, cross-asserted against the single-shot expressions
   in the iteration depth r.
@@ -125,18 +125,16 @@ def _combinatorial_laplacian(g: Graph) -> list[list[int]]:
     return lap
 
 
-def resistance_matrix(g: Graph) -> np.ndarray:
-    """Effective resistances between all vertex pairs.
+def _shifted_inverse(g: Graph) -> np.ndarray:
+    """(L + J/N)^{-1} of a connected graph, L its combinatorial Laplacian.
 
-    Uses the pseudoinverse of the combinatorial Laplacian through the
-    rank-one shift (L + J/N)^{-1} - J/N. For a connected graph the shifted
-    matrix is positive definite, so it has a Cholesky factor C (the
-    factorization fails otherwise) and (L + J/N)^{-1} = C^{-T} C^{-1}.
+    For a connected graph the shifted matrix is positive definite, so it has
+    a Cholesky factor C (the factorization fails otherwise) and
+    (L + J/N)^{-1} = C^{-T} C^{-1}.
     """
     require_connected(g)
-    size = g.vertex_count
     shifted = np.asarray(_combinatorial_laplacian(g), dtype=float)
-    shifted += 1.0 / size
+    shifted += 1.0 / g.vertex_count
     try:
         factor = np.linalg.cholesky(shifted)
         del shifted
@@ -144,9 +142,29 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
     del factor
-    pinv = inv_factor.T @ inv_factor
-    del inv_factor
-    pinv -= 1.0 / size
+    return inv_factor.T @ inv_factor
+
+
+def _kf_star_identity(inverse: np.ndarray, degrees) -> Fraction | np.floating:
+    """Kf* = 2m * sum_i d_i S_ii - d^T S d for S = (L + J/N)^{-1}.
+
+    Expands sum_{i<j} d_i d_j r_ij with r_ij = S_ii + S_jj - 2 S_ij (Klein &
+    Randic 1993); S differs from the pseudoinverse L^+ by J/N, and that
+    shift cancels between the two terms. Works on a float array and on an
+    object array of Fractions alike: the degrees take the array's dtype.
+    """
+    deg = np.array(degrees, dtype=inverse.dtype)
+    return deg.sum() * (inverse.diagonal() @ deg) - deg @ (inverse @ deg)
+
+
+def resistance_matrix(g: Graph) -> np.ndarray:
+    """Effective resistances between all vertex pairs.
+
+    Uses the pseudoinverse of the combinatorial Laplacian through the
+    rank-one shift (L + J/N)^{-1} - J/N.
+    """
+    pinv = _shifted_inverse(g)
+    pinv -= 1.0 / g.vertex_count
     pinv += pinv.T  # numpy reads the overlapping operand as if copied first
     pinv /= 2.0
     diag = pinv.diagonal().copy()
@@ -157,33 +175,9 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     return pinv
 
 
-def resistance_matrix_exact(
-    g: Graph, max_order: int = DEFAULT_EXACT_CAP
-) -> list[list[Fraction]]:
-    """Exact rational effective resistances (same shift formula, no rounding)."""
-    require_connected(g)
-    size = g.vertex_count
-    if size > max_order:
-        raise SizeCapExceededError(f"order {size} exceeds exact cap {max_order}")
-    shift = Fraction(1, size)
-    shifted = [
-        [Fraction(x) + shift for x in row] for row in _combinatorial_laplacian(g)
-    ]
-    pinv = fraction_inverse(shifted)
-    for i in range(size):
-        for j in range(size):
-            pinv[i][j] -= shift
-    return [
-        [pinv[i][i] + pinv[j][j] - 2 * pinv[i][j] for j in range(size)]
-        for i in range(size)
-    ]
-
-
 def kf_star_direct(g: Graph) -> float:
-    """Resistance-distance oracle: sum of d_i d_j r_ij over unordered pairs."""
-    res = resistance_matrix(g)
-    deg = np.asarray(g.degrees, dtype=float)
-    return float(deg @ res @ deg) / 2.0
+    """Float Kf* = sum of d_i d_j r_ij over unordered pairs, without the resistance matrix."""
+    return float(_kf_star_identity(_shifted_inverse(g), g.degrees))
 
 
 def kemeny_direct(g: Graph) -> float:
@@ -192,14 +186,15 @@ def kemeny_direct(g: Graph) -> float:
 
 
 def kf_star_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
-    """Exact rational Kf* via exact resistances."""
-    res = resistance_matrix_exact(g, max_order=max_order)
-    deg = g.degrees
-    total = Fraction(0)
-    for i in range(g.vertex_count):
-        for j in range(i + 1, g.vertex_count):
-            total += deg[i] * deg[j] * res[i][j]
-    return total
+    """Exact rational Kf*: the Kf* identity on the exact inverse of L + J/N."""
+    require_connected(g)
+    size = g.vertex_count
+    if size > max_order:
+        raise SizeCapExceededError(f"order {size} exceeds exact cap {max_order}")
+    shift = Fraction(1, size)
+    shifted = [[x + shift for x in row] for row in _combinatorial_laplacian(g)]
+    inverse = np.array(fraction_inverse(shifted), dtype=object)
+    return _kf_star_identity(inverse, g.degrees)
 
 
 def kemeny_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -260,6 +255,20 @@ def _kemeny_r_level(ke0: Fraction, n0: int, e0: int, n: int, r: int) -> Fraction
     return a + b + (c1 + c2 + c3) * e0
 
 
+def _lift(label, one_step, r_level, x0, n0, e0, params: BlowupParams) -> Fraction:
+    """Iterate one_step over the blowup levels and check the single-shot r_level."""
+    value = Fraction(x0)
+    for vertices, edges in count_sequence(n0, e0, params.n, params.r)[:-1]:
+        value = one_step(value, vertices, edges, params.n)
+    if params.r >= 1:
+        single_shot = r_level(Fraction(x0), n0, e0, params.n, params.r)
+        if single_shot != value:
+            raise InternalAssertionError(
+                f"single-shot {label} {single_shot} disagrees with iterated {value}"
+            )
+    return value
+
+
 def kf_star_blowup_closed(
     kf: Fraction | int, n0: int, e0: int, params: BlowupParams
 ) -> Fraction:
@@ -270,17 +279,7 @@ def kf_star_blowup_closed(
     """
     if kf < 0:
         raise InvalidParameterError("Kf* must be non-negative")
-    value = Fraction(kf)
-    levels = count_sequence(n0, e0, params.n, params.r)
-    for vertices, edges in levels[:-1]:
-        value = _kf_one_step(value, vertices, edges, params.n)
-    if params.r >= 1:
-        single_shot = _kf_r_level(Fraction(kf), n0, e0, params.n, params.r)
-        if single_shot != value:
-            raise InternalAssertionError(
-                f"single-shot Kf* {single_shot} disagrees with iterated {value}"
-            )
-    return value
+    return _lift("Kf*", _kf_one_step, _kf_r_level, kf, n0, e0, params)
 
 
 def kemeny_blowup_closed(
@@ -293,17 +292,7 @@ def kemeny_blowup_closed(
     """
     if ke < 0:
         raise InvalidParameterError("Kemeny constant must be non-negative")
-    value = Fraction(ke)
-    levels = count_sequence(n0, e0, params.n, params.r)
-    for vertices, edges in levels[:-1]:
-        value = _kemeny_one_step(value, vertices, edges, params.n)
-    if params.r >= 1:
-        single_shot = _kemeny_r_level(Fraction(ke), n0, e0, params.n, params.r)
-        if single_shot != value:
-            raise InternalAssertionError(
-                f"single-shot Kemeny {single_shot} disagrees with iterated {value}"
-            )
-    return value
+    return _lift("Kemeny", _kemeny_one_step, _kemeny_r_level, ke, n0, e0, params)
 
 
 def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:

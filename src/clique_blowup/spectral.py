@@ -307,6 +307,12 @@ def spectrum_by_theorem(
     out.append((high, (n - 3) * e0 + n0))
 
     result = SpectrumMultiset.from_entries(out, cluster_tol=tol)
+    try:
+        zero_index(result)
+    except InconsistentSpectrumError:
+        raise InconsistentSpectrumError(
+            f"a mapped eigenvalue merged with 0 within cluster_tol={tol:g}"
+        ) from None
     expected = n0 + (n - 2) * e0
     if result.order != expected:
         raise InternalAssertionError(

@@ -145,6 +145,36 @@ class TestSpectra:
         assert code == 0
         assert json.loads(out)["order"] == 4
 
+    def test_theorem_method_ignores_vertex_cap(self, capsys):
+        # the mapping builds nothing, so 48816970 vertices are no reason to stop
+        code, out, _ = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", "6",
+            "--method", "theorem", "--format", "json",
+        )
+        assert code == 0
+        assert out.startswith('{"order":48816970,')
+
+    def test_theorem_method_rejects_eigenvalue_merged_with_zero(self, capsys):
+        # at r = 9 a mapped eigenvalue falls within cluster_tol of 0
+        code, out, err = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", "9",
+            "--method", "theorem", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cluster_tol" in err
+
+    def test_both_method_over_vertex_cap_exits_3(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", "6",
+            "--method", "both", "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+
 
 class TestIndexes:
     def test_all_routes_triangle_blowup(self, capsys):

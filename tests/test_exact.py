@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -75,6 +76,48 @@ def test_rank_of_rectangular():
 def test_determinant_of_empty_and_singular():
     assert bareiss_determinant([]) == 1
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+# rectangular; a column with no pivot before the last one; row swaps that
+# flip the sign; singular and full rank
+BAREISS_CASES = [
+    [[1, 1, 0], [0, 1, 1]],
+    [[0, 2, 1], [0, 4, 3]],
+    [[1, 2, 3, 4], [2, 4, 7, 9], [3, 6, 1, 1]],
+    [[1, 2], [2, 4], [3, 7]],
+    [[1, 2, 3], [2, 4, 5], [3, 6, 7]],
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    [[0, 1], [1, 0]],
+    [[0, 2, 1], [3, 1, 1], [1, 1, 0]],
+    [[1, 1, 2], [1, 1, 3], [2, 5, 1]],
+    [[2, 1, 0, 3], [4, 2, 1, 1], [0, 3, 5, 2], [1, 0, 2, 7]],
+    [[0, 0], [0, 0]],
+]
+
+small_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+def check_against_sympy(matrix):
+    reference = sympy.Matrix(matrix)
+    assert integer_rank(matrix) == reference.rank()
+    if len(matrix) == len(matrix[0]):
+        assert bareiss_determinant(matrix) == reference.det()
+
+
+@pytest.mark.parametrize("matrix", BAREISS_CASES)
+def test_bareiss_matches_sympy(matrix):
+    check_against_sympy(matrix)
+
+
+@given(small_matrices)
+def test_bareiss_matches_sympy_on_random(matrix):
+    check_against_sympy(matrix)
 
 
 @given(square_int_matrices)

@@ -29,13 +29,12 @@ from clique_blowup import (
     laplacian_spectrum,
     petersen,
     resistance_matrix,
-    resistance_matrix_exact,
     tau_blowup_closed,
     tau_exact,
     tau_spectral,
 )
 from clique_blowup import indexes
-from clique_blowup._exact import bareiss_determinant
+from clique_blowup._exact import bareiss_determinant, fraction_inverse
 from clique_blowup.blowup import blowup_counts, count_sequence
 from clique_blowup.indexes import _combinatorial_laplacian
 
@@ -110,15 +109,6 @@ class TestResistance:
         assert np.allclose(res, res.T)
         assert np.allclose(np.diag(res), 0.0)
 
-    def test_exact_matches_float(self):
-        exact = resistance_matrix_exact(K3)
-        assert exact[0][1] == Fraction(2, 3)
-        assert np.allclose(resistance_matrix(K3), np.array(exact, dtype=float))
-
-    def test_exact_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            resistance_matrix_exact(petersen(), max_order=5)
-
     def test_equals_two_step_reference(self, corpus):
         # reference: the same solve keeping every intermediate array, bit for bit
         blown = blowup_iterate(gen_family("cycle", 5), BlowupParams(4, 2))
@@ -155,6 +145,28 @@ class TestOracles:
         assert kf_star_exact(K2) == 1
         assert kf_star_exact(K3) == 8
         assert kemeny_exact(K3) == Fraction(4, 3)
+
+    def test_kf_exact_cap(self):
+        with pytest.raises(SizeCapExceededError):
+            kf_star_exact(petersen(), max_order=5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_graphs(min_vertices=2, max_vertices=7))
+    def test_kf_identity_equals_resistance_definition(self, g):
+        # sum_{i<j} d_i d_j r_ij with r_ij = S_ii + S_jj - 2 S_ij, S = (L + J/N)^-1
+        size, deg = g.vertex_count, g.degrees
+        shift = Fraction(1, size)
+        lap = _combinatorial_laplacian(g)
+        s = fraction_inverse([[x + shift for x in row] for row in lap])
+        definition = sum(
+            deg[i] * deg[j] * (s[i][i] + s[j][j] - 2 * s[i][j])
+            for i in range(size)
+            for j in range(i + 1, size)
+        )
+        exact = kf_star_exact(g)
+        assert isinstance(exact, Fraction)
+        assert exact == definition
+        assert kf_star_direct(g) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_tau_exact_triangle(self):
         assert tau_exact(K3) == 3

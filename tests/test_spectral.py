@@ -228,6 +228,12 @@ class TestTheoremMapping:
         with pytest.raises(InconsistentSpectrumError):
             spectrum_by_theorem(bad, 3, 3, 4, bipartite=False)
 
+    def test_mapped_value_merging_with_zero_rejected(self):
+        # 3e-6 / (n - 1) = 7.5e-7 lies within cluster_tol of the mapped 0
+        sigma = SpectrumMultiset(((0.0, 1), (3e-6, 1), (1.5, 1)))
+        with pytest.raises(InconsistentSpectrumError, match="cluster_tol"):
+            spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+
     def test_negative_low_multiplicity_rejected(self):
         # a connected non-bipartite graph cannot have E < N
         bad = SpectrumMultiset(((0.0, 1), (1.0, 4)))
