@@ -20,6 +20,7 @@ from .indexes import IndexReport
 from .spectral import (
     DEFAULT_MATCH_TOL,
     SpectrumMultiset,
+    check_spectrum_input,
     laplacian_spectrum,
     multiset_match,
     spectrum_iterated,
@@ -90,16 +91,19 @@ def cmd_blowup(args) -> int:
 def cmd_spectra(args) -> int:
     g = _load_graph(args.input)
     params = BlowupParams(args.n, args.r)
-    base = laplacian_spectrum(g, max_order=args.max_vertices)
 
     themed = numeric = None
     if args.method in ("theorem", "both"):
+        base = laplacian_spectrum(g, max_order=args.max_vertices)
         if params.r == 0:
             themed = base
         else:
             themed = spectrum_iterated(
                 base, g.vertex_count, g.edge_count, params, bipartition(g).is_bipartite
             )
+    if args.method == "numeric":
+        # the base graph's errors come first, as for the other methods
+        check_spectrum_input(g, max_order=args.max_vertices)
     if args.method in ("numeric", "both"):
         blown = blowup_iterate(g, params, max_vertices=args.max_vertices)
         numeric = laplacian_spectrum(blown, max_order=args.max_vertices)

@@ -2,13 +2,21 @@
 
 Two independent routes produce the spectrum of a blown-up graph:
 
-* eigendecompose the explicitly constructed graph (``eig_sym`` on
-  ``normalized_laplacian``), or
+* eigendecompose the explicitly constructed graph (``laplacian_spectrum``),
+  or
 * map the base graph's spectrum through ``spectrum_by_theorem``: eigenvalue
   0 stays with multiplicity 1; every other eigenvalue except 2 is divided
   by n - 1; 2/(n-1) enters with multiplicity E - N (one more when the base
   graph is bipartite, absorbing its eigenvalue 2); n/(n-1) enters with
   multiplicity (n-3)E + N.
+
+``laplacian_spectrum`` first deflates true twins, vertices with the same
+closed neighbourhood N[v]. For x supported on a class of k twins of degree
+d with sum(x) = 0, Ax = -x, so the class gives 1 + 1/d with multiplicity
+k - 1; ``eig_sym`` solves only the symmetric quotient with one row per
+class, whose singleton case is ``normalized_laplacian``. The classes come
+from the adjacency of the graph as built, never from the blowup
+parameters or the theorem, so the two routes stay independent.
 
 ``multiset_match`` compares the two on flattened value lists so clustering
 can never manufacture a false match.
@@ -191,16 +199,65 @@ class MatchReport:
         )
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Dense symmetric matrix with M[i,i] = 1, M[i,j] = -1/sqrt(d_i d_j) for i~j."""
+def _require_laplacian(g: Graph) -> None:
     require_connected(g)
     if any(d == 0 for d in g.degrees):
         raise DegreeZeroError("normalized Laplacian needs every degree >= 1")
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=float))
-    us, vs = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    m = np.eye(g.vertex_count)
-    m[us, vs] = m[vs, us] = -inv_sqrt[us] * inv_sqrt[vs]
+
+
+def _check_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise SizeCapExceededError(f"matrix order {order} exceeds cap {max_order}")
+
+
+def _quotient_laplacian(
+    edges, class_of: np.ndarray, size: np.ndarray, degree: np.ndarray
+) -> np.ndarray:
+    """Normalized Laplacian restricted to vectors constant on each vertex class.
+
+    Classes are sets of true twins (equal closed neighbourhoods), so class T
+    has one degree d_T and a size k_T, and two classes are joined all-to-all
+    or not at all. In the orthonormal basis 1_T / sqrt(k_T) the matrix has
+    B[T,T] = 1 - (k_T - 1)/d_T and B[T,U] = -sqrt(k_T k_U) / sqrt(d_T d_U) for
+    adjacent classes. With singleton classes sqrt(1) = 1 and 1 - 0/d = 1, so
+    B is the normalized Laplacian itself, bit for bit.
+    """
+    weight = np.sqrt(size) * (1.0 / np.sqrt(degree))
+    us, vs = class_of[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
+    between = us != vs
+    us, vs = us[between], vs[between]
+    m = np.diag(1.0 - (size - 1.0) / degree)
+    m[us, vs] = m[vs, us] = -weight[us] * weight[vs]
     return m
+
+
+def _true_twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class of each vertex, and the size and degree of each class.
+
+    Vertices with the same closed neighbourhood N[v] share a class, and so a
+    degree. Classes are numbered by their smallest vertex, so a twin-free
+    graph keeps its labels.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    class_of = np.array(
+        [
+            index.setdefault(tuple(sorted(ns + (v,))), len(index))
+            for v, ns in enumerate(g.adjacency)
+        ],
+        dtype=np.intp,
+    )
+    degree = np.empty(len(index))
+    degree[class_of] = g.degrees
+    return class_of, np.bincount(class_of).astype(float), degree
+
+
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    """Dense symmetric matrix with M[i,i] = 1, M[i,j] = -1/sqrt(d_i d_j) for i~j."""
+    _require_laplacian(g)
+    n = g.vertex_count
+    return _quotient_laplacian(
+        g.edges, np.arange(n), np.ones(n), np.asarray(g.degrees, dtype=float)
+    )
 
 
 def eig_sym(
@@ -217,10 +274,7 @@ def eig_sym(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got {matrix.shape}")
-    if matrix.shape[0] > max_order:
-        raise SizeCapExceededError(
-            f"matrix order {matrix.shape[0]} exceeds cap {max_order}"
-        )
+    _check_order(matrix.shape[0], max_order)
     # row blocks keep the temporaries at SYMMETRY_BLOCK x N instead of N x N
     step = SYMMETRY_BLOCK
     block_max = [
@@ -234,13 +288,37 @@ def eig_sym(
     return SpectrumMultiset.from_eigenvalues(values, cluster_tol=cluster_tol)
 
 
+def check_spectrum_input(g: Graph, max_order: int = DEFAULT_MAX_VERTICES) -> None:
+    """Raise what laplacian_spectrum(g) raises before it allocates anything."""
+    _require_laplacian(g)
+    _check_order(g.vertex_count, max_order)
+
+
 def laplacian_spectrum(
     g: Graph,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     max_order: int = DEFAULT_MAX_VERTICES,
 ) -> SpectrumMultiset:
-    """Numeric normalized Laplacian spectrum of a connected graph."""
-    return eig_sym(normalized_laplacian(g), cluster_tol=cluster_tol, max_order=max_order)
+    """Numeric normalized Laplacian spectrum of a connected graph.
+
+    A class of k true twins of degree d contributes 1 + 1/d with
+    multiplicity k - 1 (on a vector x supported on the class with sum 0,
+    Ax = -x), and eig_sym solves only the quotient over the classes.
+    """
+    check_spectrum_input(g, max_order)
+    class_of, size, degree = _true_twin_classes(g)
+    deflated: dict[float, int] = {}
+    for k, d in zip(size[size > 1], degree[size > 1]):
+        value = 1.0 + 1.0 / float(d)
+        deflated[value] = deflated.get(value, 0) + int(k) - 1
+    quotient = eig_sym(
+        _quotient_laplacian(g.edges, class_of, size, degree),
+        cluster_tol=cluster_tol,
+        max_order=max_order,
+    )
+    return SpectrumMultiset.from_entries(
+        [*quotient.entries, *deflated.items()], cluster_tol=cluster_tol
+    )
 
 
 def _locate(entries, target: float, tol: float) -> list[int]:
@@ -307,12 +385,11 @@ def spectrum_by_theorem(
     out.append((high, (n - 3) * e0 + n0))
 
     result = SpectrumMultiset.from_entries(out, cluster_tol=tol)
-    try:
-        zero_index(result)
-    except InconsistentSpectrumError:
+    # a merge would replace distinct mapped values by their weighted mean
+    if len(result.entries) != len({v for v, _ in out}):
         raise InconsistentSpectrumError(
-            f"a mapped eigenvalue merged with 0 within cluster_tol={tol:g}"
-        ) from None
+            f"distinct mapped eigenvalues merged within cluster_tol={tol:g}"
+        )
     expected = n0 + (n - 2) * e0
     if result.order != expected:
         raise InternalAssertionError(

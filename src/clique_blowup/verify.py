@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -361,6 +360,9 @@ def run_verification(
     # every worker forks at once, so never ask for more than can run
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: most runs are serial and need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for cell_results in pool.map(_run_cell, tasks):
                 results.extend(cell_results)

@@ -166,6 +166,88 @@ class TestSpectra:
         assert out == ""
         assert "cluster_tol" in err
 
+    def test_theorem_method_rejects_distinct_values_merging(self, capsys):
+        # at r = 8 the mapped 4.267e-6 and 5.12e-6 lie within cluster_tol
+        code, out, err = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", "8",
+            "--method", "theorem", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cluster_tol" in err
+
+    def test_theorem_method_deepest_unmerged_output_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", "7",
+            "--method", "theorem", "--format", "json",
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            '{"order":732254470,"cluster_tol":9.9999999999999995e-07,"entries":[[0,1],'
+            "[8.5333333333333335e-06,5],[2.1333333333333335e-05,4],"
+            "[2.5600000000000006e-05,5],[7.680000000000001e-05,55],"
+            "[0.00012800000000000002,155],[0.00038400000000000006,745],"
+            "[0.00064000000000000005,2405],[0.0019200000000000003,11095],"
+            "[0.0032000000000000002,36155],[0.0096000000000000009,166345],"
+            "[0.016,542405],[0.048000000000000001,2495095],"
+            "[0.080000000000000002,8136155],[0.23999999999999999,37426345],"
+            "[0.40000000000000002,122042405],[1.2,561395095]]}\n"
+        )
+
+    def test_large_blowup_both_methods(self, capsys):
+        # the spectra_large benchmark command, in-process
+        code, out, _ = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "8", "--r", "2",
+            "--method", "both", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["matched"] is True
+        for route in ("theorem", "numeric"):
+            assert doc[route]["order"] == 2620
+            mults = [m for v, m in doc[route]["entries"] if abs(v - 8 / 7) <= 1e-9]
+            assert mults == [2200]
+
+    def test_numeric_method_skips_base_eigensolve(self, capsys, monkeypatch):
+        solved = []
+        original = cli.laplacian_spectrum
+
+        def recording(g, *args, **kwargs):
+            solved.append(g.vertex_count)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "laplacian_spectrum", recording)
+        code, _, _ = run(
+            capsys, "spectra", "--input", "cycle:5", "--n", "4", "--method", "numeric"
+        )
+        assert code == 0
+        assert solved == [15]
+
+    @pytest.mark.parametrize(
+        "spec, extra, code, message",
+        [
+            ("path:1", (), 2, "error: normalized Laplacian needs every degree >= 1\n"),
+            ("path:4", ("--max-vertices", "3"), 3, "error: matrix order 4 exceeds cap 3\n"),
+        ],
+    )
+    def test_numeric_method_keeps_base_graph_errors(self, capsys, spec, extra, code, message):
+        got, out, err = run(
+            capsys, "spectra", "--input", spec, "--n", "3", "--method", "numeric", *extra
+        )
+        assert (got, out, err) == (code, "", message)
+
+    def test_numeric_method_rejects_disconnected_input(self, capsys, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("0 1\n2 3\n")
+        code, out, err = run(
+            capsys, "spectra", "--input", str(path), "--n", "3", "--method", "numeric"
+        )
+        assert (code, out, err) == (2, "", "error: operation requires a connected graph\n")
+
     def test_both_method_over_vertex_cap_exits_3(self, capsys):
         code, out, _ = run(
             capsys,
@@ -248,7 +330,9 @@ class TestIndexes:
         src = os.path.dirname(os.path.dirname(clique_blowup.__file__))
         code = (
             "import sys, clique_blowup.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing') "
+            "or m.startswith('concurrent.futures')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 from fractions import Fraction
 
@@ -168,7 +169,7 @@ class TestHarness:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         corpus = [("complete:2", gen_family("complete", 2))]
         report = run_verification(corpus, [3], [1, 2], jobs=jobs)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from clique_blowup import (
     BlowupParams,
     DegreeZeroError,
+    Graph,
     InconsistentSpectrumError,
     InternalAssertionError,
     InvalidParameterError,
+    NotConnectedError,
     NotSymmetricError,
     SizeCapExceededError,
     SpectrumMultiset,
@@ -21,12 +23,14 @@ from clique_blowup import (
     clique_blowup,
     eig_sym,
     gen_family,
+    graph_from_spec,
     laplacian_spectrum,
     multiset_match,
     normalized_laplacian,
     spectrum_by_theorem,
     spectrum_iterated,
 )
+from clique_blowup import spectral
 from clique_blowup.spectral import SYMMETRY_BLOCK
 
 from conftest import connected_graphs
@@ -121,6 +125,103 @@ class TestEigSym:
     def test_order_cap(self):
         with pytest.raises(SizeCapExceededError):
             eig_sym(np.eye(5), max_order=4)
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """Connected graph in which some vertices are cloned with their closed neighbourhood."""
+    g = draw(connected_graphs(max_vertices=6))
+    edges = list(g.edges)
+    order = g.vertex_count
+    for v in draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=5)):
+        closed = {u for e in edges if v in e for u in e} | {v}
+        edges.extend((u, order) for u in sorted(closed))
+        order += 1
+    return Graph(order, edges)
+
+
+def recording_eig_sym(monkeypatch):
+    """Patch spectral.eig_sym to record the order of every matrix it receives."""
+    orders = []
+    original = spectral.eig_sym
+
+    def wrapper(matrix, *args, **kwargs):
+        orders.append(matrix.shape[0])
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eig_sym", wrapper)
+    return orders
+
+
+class TestTwinDeflation:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_twins())
+    def test_matches_dense_eigensolve(self, g):
+        # tolerance fixed from the dtype: 64 N eps for an order-N eigensolve
+        dense = np.linalg.eigvalsh(normalized_laplacian(g))
+        sigma = laplacian_spectrum(g)
+        assert len(spectral._true_twin_classes(g)[1]) < g.vertex_count
+        assert sigma.order == g.vertex_count
+        tol = 64 * g.vertex_count * np.finfo(float).eps
+        assert np.max(np.abs(np.array(sigma.flatten()) - dense)) <= tol
+
+    @pytest.mark.parametrize(
+        "spec, n, r", [("cycle:5", 3, 0), ("petersen", 3, 0), ("petersen", 3, 1)]
+    )
+    def test_twin_free_is_bit_identical_to_dense(self, monkeypatch, spec, n, r):
+        g = blowup_iterate(graph_from_spec(spec), BlowupParams(n, r))
+        dense = eig_sym(normalized_laplacian(g))
+        orders = recording_eig_sym(monkeypatch)
+        assert laplacian_spectrum(g).entries == dense.entries
+        assert orders == [g.vertex_count]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_complete_graph_is_one_class(self, monkeypatch, k):
+        orders = recording_eig_sym(monkeypatch)
+        sigma = laplacian_spectrum(gen_family("complete", k))
+        assert orders == [1]
+        assert sigma.entries[0] == (0.0, 1)
+        (value, mult), = sigma.entries[1:]
+        assert mult == k - 1
+        assert value == pytest.approx(k / (k - 1), rel=1e-15)
+
+    def test_blowup_solves_only_the_quotient(self, monkeypatch):
+        # Petersen n=8 r=2: 100 singleton classes and 420 cliques of 6 twins
+        g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
+        orders = recording_eig_sym(monkeypatch)
+        sigma = laplacian_spectrum(g)
+        assert orders == [520]
+        assert sigma.order == 2620
+        assert sigma.multiplicity_at(8 / 7) == 2200
+
+    def test_rejects_single_vertex(self):
+        with pytest.raises(DegreeZeroError):
+            laplacian_spectrum(gen_family("path", 1))
+
+    def test_rejects_disconnected(self):
+        with pytest.raises(NotConnectedError):
+            laplacian_spectrum(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_cap_runs_before_any_allocation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("classes computed over the cap")
+
+        monkeypatch.setattr(spectral, "_true_twin_classes", fail)
+        with pytest.raises(SizeCapExceededError, match="^matrix order 10 exceeds cap 9$"):
+            laplacian_spectrum(graph_from_spec("petersen"), max_order=9)
+
+    def test_corrupted_blowup_still_mismatches(self):
+        # removing an edge inside one clique breaks a twin class; the
+        # deflation sees the graph as built, so the theorem disagrees
+        g = gen_family("cycle", 5)
+        params = BlowupParams(5, 1)
+        blown = blowup_iterate(g, params)
+        corrupted = Graph(blown.vertex_count, [e for e in blown.edges if e != (5, 6)])
+        themed = spectrum_iterated(
+            laplacian_spectrum(g), g.vertex_count, g.edge_count, params, False
+        )
+        assert multiset_match(themed, laplacian_spectrum(blown), 1e-7).matched
+        assert not multiset_match(themed, laplacian_spectrum(corrupted), 1e-7).matched
 
 
 class TestSpectrumMultiset:
@@ -231,6 +332,12 @@ class TestTheoremMapping:
     def test_mapped_value_merging_with_zero_rejected(self):
         # 3e-6 / (n - 1) = 7.5e-7 lies within cluster_tol of the mapped 0
         sigma = SpectrumMultiset(((0.0, 1), (3e-6, 1), (1.5, 1)))
+        with pytest.raises(InconsistentSpectrumError, match="cluster_tol"):
+            spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+
+    def test_distinct_mapped_values_merging_rejected(self):
+        # 1.0 and 1.000003 map to 0.25 and 0.25 + 7.5e-7, within cluster_tol
+        sigma = SpectrumMultiset(((0.0, 1), (1.0, 1), (1.000003, 1)))
         with pytest.raises(InconsistentSpectrumError, match="cluster_tol"):
             spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
 
