@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InternalAssertionError, InvalidParameterError, SizeCapExceededError
 from .graphs import Graph, require_connected
@@ -52,12 +53,7 @@ def clique_blowup(g: Graph, n: int) -> Graph:
     edges: list[tuple[int, int]] = list(g.edges)
     for s, (u, v) in enumerate(g.edges):
         block = [base + s * (n - 2) + l for l in range(n - 2)]
-        members = [u, v] + block
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                if (a, b) != (u, v):
-                    edges.append((a, b))
+        edges.extend(pair for pair in combinations([u, v] + block, 2) if pair != (u, v))
     return Graph(base + (n - 2) * g.edge_count, edges)
 
 

@@ -23,6 +23,7 @@ from .spectral import (
     check_spectrum_input,
     laplacian_spectrum,
     multiset_match,
+    require_tolerance,
     spectrum_iterated,
 )
 from .verify import run_verification
@@ -134,21 +135,12 @@ def cmd_spectra(args) -> int:
 
 
 def _report_table_row(report: IndexReport) -> str:
-    kf = (
-        str(report.kf_star_exact)
-        if report.kf_star_exact is not None
-        else f"{report.kf_star:.12g}"
-    )
-    ke = (
-        str(report.kemeny_exact)
-        if report.kemeny_exact is not None
-        else f"{report.kemeny:.12g}"
-    )
-    tau = (
-        str(report.tau_exact)
-        if report.tau_exact is not None
-        else f"{report.tau_float:.12g}"
-    )
+    def show(exact, approx: float) -> str:
+        return str(exact) if exact is not None else f"{approx:.12g}"
+
+    kf = show(report.kf_star_exact, report.kf_star)
+    ke = show(report.kemeny_exact, report.kemeny)
+    tau = show(report.tau_exact, report.tau_float)
     return f"{report.route:<12} {kf:<24} {ke:<24} {tau}\n"
 
 
@@ -236,6 +228,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(raw: str) -> float:
+    """argparse type of every --tol: a finite float >= 0, else a usage error (exit 2)."""
+    try:
+        return require_tolerance(float(raw))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_int_list(raw: str, label: str) -> list[int]:
     try:
         values = [int(item) for item in raw.split(",") if item.strip()]
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_spec)
     p_spec.add_argument("--r", type=int, default=1)
     p_spec.add_argument("--method", choices=("theorem", "numeric", "both"), default="both")
-    p_spec.add_argument("--tol", type=float, default=DEFAULT_MATCH_TOL)
+    p_spec.add_argument("--tol", type=_tolerance, default=DEFAULT_MATCH_TOL)
     p_spec.add_argument("--format", choices=("table", "json"), default="table")
     p_spec.set_defaults(func=cmd_spectra)
 
@@ -297,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--exact-cap", type=int, default=indexes.DEFAULT_EXACT_CAP)
     # tau through the spectrum is documented to 1e-6 relative; the route
     # agreement verdict defaults to that accuracy
-    p_idx.add_argument("--tol", type=float, default=1e-6)
+    p_idx.add_argument("--tol", type=_tolerance, default=1e-6)
     p_idx.set_defaults(func=cmd_indexes)
 
     p_ver = sub.add_parser("verify", help="run the cross-route suite over a corpus grid")
     p_ver.add_argument("--corpus", default=None, help="comma-separated specs (default corpus)")
     p_ver.add_argument("--n-list", default="3,4,5")
     p_ver.add_argument("--r-list", default="1,2")
-    p_ver.add_argument("--tol", type=float, default=DEFAULT_MATCH_TOL)
+    p_ver.add_argument("--tol", type=_tolerance, default=DEFAULT_MATCH_TOL)
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--max-vertices", type=int, default=None)
     p_ver.add_argument("--exact-cap", type=int, default=indexes.DEFAULT_EXACT_CAP)

@@ -4,6 +4,9 @@ Vertices are dense 0-based integers. Edges are stored canonically: each
 pair ordered (u, v) with u < v, the list sorted lexicographically. That
 ordering is a public contract; the blowup construction derives its vertex
 labels from edge positions in it.
+
+Connectivity and the 2-colouring come from one breadth-first traversal,
+cached on the immutable Graph like its adjacency; every guard reads it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,26 @@ class Graph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(ns) for ns in self.adjacency)
+
+    @cached_property
+    def _traversal(self) -> tuple[tuple[str, ...], bool, bool]:
+        """BFS 2-colouring from vertex 0: each vertex's side ("" if unreached),
+        whether every vertex was reached, whether an edge joins two on one side."""
+        if self.vertex_count == 0:
+            return (), False, False
+        side = [""] * self.vertex_count
+        side[0] = "X"
+        queue = deque([0])
+        clash = False
+        while queue:
+            u = queue.popleft()
+            for v in self.adjacency[u]:
+                if not side[v]:
+                    side[v] = "Y" if side[u] == "X" else "X"
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    clash = True
+        return tuple(side), "" not in side, clash
 
 
 @dataclass(frozen=True)
@@ -164,20 +187,7 @@ def is_connected(g: Graph) -> bool:
 
     The empty graph is not connected; a single vertex is.
     """
-    if g.vertex_count == 0:
-        return False
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                queue.append(v)
-    return reached == g.vertex_count
+    return g._traversal[1]
 
 
 def require_connected(g: Graph) -> None:
@@ -191,19 +201,8 @@ def bipartition(g: Graph) -> Bipartition:
     Vertex 0 lands on side X. An odd cycle makes is_bipartite False.
     """
     require_connected(g)
-    side = [""] * g.vertex_count
-    side[0] = "X"
-    queue = deque([0])
-    is_bip = True
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not side[v]:
-                side[v] = "Y" if side[u] == "X" else "X"
-                queue.append(v)
-            elif side[v] == side[u]:
-                is_bip = False
-    return Bipartition(tuple(side), is_bip)
+    side_of, _, clash = g._traversal
+    return Bipartition(side_of, not clash)
 
 
 def incidence_rank(g: Graph) -> int:
@@ -214,8 +213,6 @@ def incidence_rank(g: Graph) -> int:
     vertex_count otherwise, and that dichotomy must be bit-exact.
     """
     require_connected(g)
-    if g.vertex_count == 0:
-        raise NotConnectedError("empty graph has no incidence matrix")
     matrix = [[0] * g.edge_count for _ in range(g.vertex_count)]
     for col, (u, v) in enumerate(g.edges):
         matrix[u][col] = 1

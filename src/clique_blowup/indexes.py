@@ -33,7 +33,7 @@ from .errors import (
     SizeCapExceededError,
 )
 from .graphs import Graph, require_connected
-from .spectral import SpectrumMultiset, laplacian_spectrum, zero_index
+from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
 
 DEFAULT_EXACT_CAP = 200
 
@@ -116,12 +116,10 @@ def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
     return math.exp(log_tau)
 
 
-def _combinatorial_laplacian(g: Graph) -> list[list[int]]:
-    lap = [[0] * g.vertex_count for _ in range(g.vertex_count)]
-    for i, d in enumerate(g.degrees):
-        lap[i][i] = d
-    for u, v in g.edges:
-        lap[u][v] = lap[v][u] = -1
+def _combinatorial_laplacian(g: Graph) -> np.ndarray:
+    lap = np.diag(np.array(g.degrees, dtype=np.int64))
+    us, vs = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    lap[us, vs] = lap[vs, us] = -1
     return lap
 
 
@@ -192,7 +190,7 @@ def kf_star_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
     if size > max_order:
         raise SizeCapExceededError(f"order {size} exceeds exact cap {max_order}")
     shift = Fraction(1, size)
-    shifted = [[x + shift for x in row] for row in _combinatorial_laplacian(g)]
+    shifted = [[x + shift for x in row] for row in _combinatorial_laplacian(g).tolist()]
     inverse = np.array(fraction_inverse(shifted), dtype=object)
     return _kf_star_identity(inverse, g.degrees)
 
@@ -213,8 +211,7 @@ def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
         raise SizeCapExceededError(
             f"order {g.vertex_count} exceeds exact cap {max_order}"
         )
-    lap = _combinatorial_laplacian(g)
-    return modular_determinant([row[1:] for row in lap[1:]])
+    return modular_determinant(_combinatorial_laplacian(g)[1:, 1:].tolist())
 
 
 def _kf_one_step(kf: Fraction, vertices: int, edges: int, n: int) -> Fraction:
@@ -364,6 +361,8 @@ def compute(
     """
     if route not in ROUTES:
         raise InvalidParameterError(f"route must be one of {ROUTES}")
+    # every route divides by the edge count; fail as the spectral route does
+    _require_laplacian(g)
     if route == "closed_form":
         kf0 = kf_star_exact(g, max_order=exact_cap)
         tau0 = tau_exact(g, max_order=exact_cap)

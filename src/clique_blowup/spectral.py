@@ -25,6 +25,7 @@ can never manufacture a false match.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,8 +74,8 @@ class SpectrumMultiset:
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     def __post_init__(self):
-        if self.cluster_tol <= 0:
-            raise InvalidParameterError("cluster_tol must be positive")
+        if not (math.isfinite(self.cluster_tol) and self.cluster_tol > 0):
+            raise InvalidParameterError("cluster_tol must be positive and finite")
         normalized = []
         for value, mult in self.entries:
             if mult < 1:
@@ -421,14 +422,22 @@ def spectrum_iterated(
     return sigma
 
 
+def require_tolerance(tol: float) -> float:
+    """Return tol if it is a finite number >= 0, else raise InvalidParameterError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def multiset_match(
     a: SpectrumMultiset, b: SpectrumMultiset, tol: float = DEFAULT_MATCH_TOL
 ) -> MatchReport:
     """Elementwise comparison of flattened spectra.
 
     Match iff equal lengths and |a_i - b_i| <= tol * max(1, |b_i|) for all i.
-    A mismatch is reported, not raised.
+    A mismatch is reported, not raised; a NaN, infinite or negative tol raises.
     """
+    require_tolerance(tol)
     flat_a, flat_b = a.flatten(), b.flatten()
     if len(flat_a) != len(flat_b):
         return MatchReport(False, len(flat_a), len(flat_b))

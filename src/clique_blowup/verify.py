@@ -98,10 +98,9 @@ class VerifyReport:
         widths = [
             max(len(row[i]) for row in [headers] + rows) for i in range(len(headers))
         ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        return "\n".join(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in [headers] + rows
+        )
 
 
 def _cell_status(results: list[CheckResult]) -> str:
@@ -188,10 +187,8 @@ def graph_checks(
     )
     if base.bipartite:
         mirrored = sorted(2.0 - v for v in flat)
-        add(
-            "bipartite-symmetry",
-            all(abs(a - b) <= tol * max(1.0, abs(b)) for a, b in zip(flat, mirrored)),
-        )
+        symmetric = all(_rel_close(a, b, tol) for a, b in zip(flat, mirrored))
+        add("bipartite-symmetry", symmetric)
         add("lambda-max-two", abs(max(flat) - 2.0) <= tol, f"max {max(flat)}")
     else:
         # the odd cycle from bipartition certifies lambda_max < 2; the
@@ -283,9 +280,7 @@ def cell_checks(
         scaling_ok = all(
             abs(v - low) <= numeric.cluster_tol
             or abs(v - high) <= numeric.cluster_tol
-            or any(
-                abs((n - 1) * v - lam) <= tol * max(1.0, abs(lam)) for lam in base_flat
-            )
+            or any(_rel_close((n - 1) * v, lam, tol) for lam in base_flat)
             for v in (float(v) for v, _ in numeric.entries)
         )
         add("one-step-scaling", scaling_ok)

@@ -369,6 +369,17 @@ class TestIndexes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("route", ["closed_form", "oracle", "spectral", "all"])
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_edgeless_input_exits_2(self, capsys, route, r):
+        # every route divides by the edge count; all fail as the spectral one does
+        code, out, err = run(
+            capsys, "indexes", "--input", "path:1", "--n", "3", "--r", r, "--route", route
+        )
+        assert (code, out, err) == (
+            2, "", "error: normalized Laplacian needs every degree >= 1\n"
+        )
+
     def test_unreachable_tolerance_exits_1(self, capsys):
         code, out, err = run(
             capsys,
@@ -378,6 +389,34 @@ class TestIndexes:
         assert code == 1
         assert "disagree" in err
         assert "deltas" in out
+
+
+TOL_COMMANDS = [
+    ("spectra", "--input", "cycle:4", "--n", "3"),
+    ("indexes", "--input", "cycle:4"),
+    ("verify", "--corpus", "complete:2"),
+]
+
+
+class TestToleranceOption:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", TOL_COMMANDS)
+    def test_invalid_tolerance_exits_2(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument --tol: tolerance must be finite and >= 0" in err
+        assert "Traceback" not in err
+
+    def test_non_numeric_tolerance_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["indexes", "--input", "cycle:4", "--tol", "abc"])
+        assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", TOL_COMMANDS)
+    def test_zero_tolerance_is_accepted(self, argv):
+        assert cli.build_parser().parse_args([*argv, "--tol", "0"]).tol == 0.0
 
 
 class TestVerify:

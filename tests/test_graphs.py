@@ -1,5 +1,10 @@
+from collections import deque
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
+
+import clique_blowup.graphs as graphs_module
 
 from clique_blowup import (
     DuplicateEdgeError,
@@ -166,6 +171,88 @@ class TestBipartition:
             b = bipartition(g)
             if b.is_bipartite:
                 assert all(b.side_of[u] != b.side_of[v] for u, v in g.edges)
+
+
+def reference_is_connected(g):
+    """Separate connectivity traversal, kept as an independent reference."""
+    if g.vertex_count == 0:
+        return False
+    seen = [False] * g.vertex_count
+    seen[0] = True
+    queue = deque([0])
+    reached = 1
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                reached += 1
+                queue.append(v)
+    return reached == g.vertex_count
+
+
+def reference_bipartition(g):
+    """Separate 2-colouring traversal of a connected graph: (side_of, is_bipartite)."""
+    side = [""] * g.vertex_count
+    side[0] = "X"
+    queue = deque([0])
+    is_bip = True
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            if not side[v]:
+                side[v] = "Y" if side[u] == "X" else "X"
+                queue.append(v)
+            elif side[v] == side[u]:
+                is_bip = False
+    return tuple(side), is_bip
+
+
+@st.composite
+def any_graphs(draw, max_vertices=9):
+    """Random simple graph on 0..max_vertices vertices, often disconnected."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestTraversal:
+    @given(st.one_of(any_graphs(), connected_graphs(min_vertices=1, max_vertices=9)))
+    def test_matches_separate_reference_loops(self, g):
+        connected = reference_is_connected(g)
+        assert is_connected(g) == connected
+        if not connected:
+            with pytest.raises(NotConnectedError, match="requires a connected graph"):
+                bipartition(g)
+            return
+        b = bipartition(g)
+        assert (b.side_of, b.is_bipartite) == reference_bipartition(g)
+
+    @pytest.fixture
+    def traversals(self, monkeypatch):
+        """Queues the traversal starts, recorded through graphs.deque."""
+        started = []
+        monkeypatch.setattr(
+            graphs_module, "deque", lambda *args: started.append(args) or deque(*args)
+        )
+        return started
+
+    def test_one_traversal_per_graph(self, traversals):
+        g = gen_family("cycle", 6)
+        first, second = bipartition(g), bipartition(g)
+        for _ in range(3):
+            graphs_module.require_connected(g)
+        assert is_connected(g) and first == second and first.is_bipartite
+        assert len(traversals) == 1
+
+    def test_disconnected_graph_traversed_once(self, traversals):
+        g = Graph(4, [(0, 1), (2, 3)])
+        for _ in range(3):
+            with pytest.raises(NotConnectedError):
+                bipartition(g)
+        assert not is_connected(g)
+        assert len(traversals) == 1
 
 
 class TestIncidenceRank:

@@ -247,6 +247,11 @@ class TestSpectrumMultiset:
         with pytest.raises(InvalidParameterError):
             SpectrumMultiset(((0.0, 0),))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_cluster_tol_not_positive_and_finite(self, tol):
+        with pytest.raises(InvalidParameterError, match="cluster_tol"):
+            SpectrumMultiset(((0.0, 1), (1.0, 1)), cluster_tol=tol)
+
     def test_order_and_flatten(self):
         sigma = SpectrumMultiset(((0.0, 1), (1.5, 2)))
         assert sigma.order == 3
@@ -412,6 +417,19 @@ class TestMultisetMatch:
         assert multiset_match(a, b, 1e-7).matched
         a2 = SpectrumMultiset(((1.0 + 3e-7, 1),))
         assert not multiset_match(a2, b, 1e-7).matched
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_tolerance_not_finite_and_nonnegative(self, tol):
+        # a NaN or infinite tol would report 1.0 and 5.0 as a match
+        a = SpectrumMultiset(((1.0, 1),))
+        b = SpectrumMultiset(((5.0, 1),))
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            multiset_match(a, b, tol)
+
+    def test_zero_tolerance_is_exact_comparison(self):
+        a = SpectrumMultiset(((1.0, 1),))
+        assert multiset_match(a, a, 0.0).matched
+        assert not multiset_match(a, SpectrumMultiset(((1.0 + 1e-15, 1),)), 0.0).matched
 
 
 class TestSpectralProperties:
