@@ -9,15 +9,16 @@ first and updates only the rows and columns that a pivot touches, so a
 blowup Laplacian minor stays sparse outside its cliques. Dense matrices are
 not its traffic and run about twice as slowly as a dense update would.
 
-One fraction-free (Bareiss) elimination on Python ints gives both integer
-ranks and a reference determinant that the tests compare against; the
-rational Gauss-Jordan inverse is the exact Kf* route. All routines are
-exact; they exist so that rank dichotomies and spanning-tree counts never
+One fraction-free Gauss-Jordan elimination on Python ints (Bareiss) gives
+integer ranks, a reference determinant that the tests compare against, and
+the exact rational inverse of the exact Kf* route. All routines are exact;
+they exist so that rank dichotomies, spanning-tree counts and Kf* never
 depend on floating-point rounding.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -137,21 +138,21 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     return value - modulus if 2 * value > modulus else value
 
 
-def _bareiss(matrix: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination of an integer matrix: (rank, swap sign, last pivot).
+def _bareiss(matrix: list[list[int]], pivot_cols: int | None = None) -> tuple[list, int, int, int]:
+    """Fraction-free Gauss-Jordan elimination: (rows, rank, swap sign, last pivot).
 
-    One-step Bareiss: after k pivots each entry is a (k+1)x(k+1) minor of
-    the original matrix, so the division by the previous pivot is exact,
-    also when a column without a pivot is skipped (Bareiss, Math. Comp.
-    1968). The last pivot is 1 when there is none.
+    Pivots come from the first ``pivot_cols`` columns (default all); each one
+    clears its column in every other row by (pivot*row - factor*top) // prev.
+    Every entry stays a minor of the original matrix, so each division is
+    exact, also past a column without a pivot (Bareiss, Math. Comp. 1968).
+    The pivot rows end as the last pivot (1 when there is none) times the
+    reduced row echelon form.
     """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank, sign, prev = 0, 1, 1
-    for col in range(cols):
-        if rank == rows:
-            break
+    for col in range(cols if pivot_cols is None else pivot_cols):
         pivot_row = next((i for i in range(rank, rows) if m[i][col] != 0), None)
         if pivot_row is None:
             continue
@@ -160,14 +161,15 @@ def _bareiss(matrix: list[list[int]]) -> tuple[int, int, int]:
             sign = -sign
         top = m[rank]
         pivot = top[col]
-        for row in m[rank + 1 :]:
+        for i, row in enumerate(m):
             factor = row[col]
-            for j in range(col + 1, cols):
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
-            row[col] = 0
+            if factor and i != rank:
+                m[i] = [(a * pivot - factor * b) // prev for a, b in zip(row, top)]
+            elif not factor and pivot != prev:
+                m[i] = [a * pivot // prev for a in row]
         prev = pivot
         rank += 1
-    return rank, sign, prev
+    return m, rank, sign, prev
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -175,32 +177,25 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
-    rank, sign, last = _bareiss(matrix)
+    _, rank, sign, last = _bareiss(matrix)
     return sign * last if rank == size else 0
 
 
 def integer_rank(matrix: list[list[int]]) -> int:
     """Rank over the rationals of an integer matrix, fraction-free."""
-    return _bareiss(matrix)[0]
+    return _bareiss(matrix)[1]
 
 
 def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular rational matrix (Gauss-Jordan)."""
+    """Exact inverse of a nonsingular rational matrix, by fraction-free Gauss-Jordan."""
     size = len(matrix)
+    scale = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
     aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
+        [int(Fraction(x) * scale) for x in row] + [int(i == j) for j in range(size)]
         for i, row in enumerate(matrix)
     ]
-    for col in range(size):
-        pivot_row = next((i for i in range(col, size) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            raise NumericalFailureError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(size):
-            if i == col or aug[i][col] == 0:
-                continue
-            factor = aug[i][col]
-            aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [row[size:] for row in aug]
+    # with s the lcm of the denominators, [sA | I] reduces to [pI | p(sA)^-1]
+    reduced, rank, _, last = _bareiss(aug, pivot_cols=size)
+    if rank < size:
+        raise NumericalFailureError("matrix is singular")
+    return [[Fraction(scale * x, last) for x in row[size:]] for row in reduced]

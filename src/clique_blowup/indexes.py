@@ -4,9 +4,9 @@ Three mutually checking routes:
 
 * spectral: from a normalized Laplacian spectrum, Kf* = 2m * sum(1/lambda),
   Kemeny = sum(1/lambda), tau = (1/2m) * prod(d_i) * prod(lambda != 0);
-* oracle: resistance distances through the shifted Laplacian inverse
-  (Kf* = sum d_i d_j r_ij, summed by one identity in float and in exact
-  arithmetic) and the exact matrix-tree determinant for tau;
+* oracle: resistance distances (Kf* = sum d_i d_j r_ij, summed by one
+  identity on the float shifted and the exact grounded Laplacian inverse)
+  and the exact matrix-tree determinant for tau;
 * closed form: one-step blowup recurrences iterated in exact big-integer /
   rational arithmetic, cross-asserted against the single-shot expressions
   in the iteration depth r.
@@ -184,14 +184,18 @@ def kemeny_direct(g: Graph) -> float:
 
 
 def kf_star_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
-    """Exact rational Kf*: the Kf* identity on the exact inverse of L + J/N."""
+    """Exact rational Kf*: the Kf* identity on the grounded Laplacian inverse.
+
+    G is the inverse of the integer minor L[1:, 1:] (as in ``tau_exact``),
+    padded with zeros for vertex 0. It gives r_ij = G_ii + G_jj - 2 G_ij, and
+    the identity holds for any symmetric G that does.
+    """
     require_connected(g)
     size = g.vertex_count
     if size > max_order:
         raise SizeCapExceededError(f"order {size} exceeds exact cap {max_order}")
-    shift = Fraction(1, size)
-    shifted = [[x + shift for x in row] for row in _combinatorial_laplacian(g).tolist()]
-    inverse = np.array(fraction_inverse(shifted), dtype=object)
+    inverse = np.full((size, size), Fraction(0), dtype=object)
+    inverse[1:, 1:] = fraction_inverse(_combinatorial_laplacian(g)[1:, 1:].tolist())
     return _kf_star_identity(inverse, g.degrees)
 
 

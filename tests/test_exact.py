@@ -199,3 +199,50 @@ def test_fraction_inverse_roundtrip():
 def test_fraction_inverse_rejects_singular():
     with pytest.raises(NumericalFailureError):
         fraction_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+# small integers make singular matrices and zero pivots common
+rationals = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+square_rational_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def check_inverse_against_sympy(matrix):
+    size = len(matrix)
+    reference = sympy.Matrix(
+        size, size, lambda i, j: sympy.Rational(matrix[i][j].numerator, matrix[i][j].denominator)
+    )
+    if reference.det() == 0:
+        with pytest.raises(NumericalFailureError):
+            fraction_inverse(matrix)
+        return
+    expected = reference.inv()
+    assert fraction_inverse(matrix) == [
+        [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@given(square_rational_matrices)
+def test_fraction_inverse_matches_sympy(matrix):
+    check_inverse_against_sympy(matrix)
+
+
+# singular with a zero first pivot; singular with a nonzero diagonal;
+# nonsingular only after a row swap
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, 0], [0, 1]],
+        [[2, 1, 1], [1, 2, 1], [3, 3, 2]],
+        [[0, 1, 2], [1, 0, 3], [4, -3, 8]],
+    ],
+)
+def test_fraction_inverse_fixed_cases(matrix):
+    check_inverse_against_sympy([[Fraction(x) for x in row] for row in matrix])

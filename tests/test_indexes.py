@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from clique_blowup import (
     tau_spectral,
 )
 from clique_blowup import indexes
-from clique_blowup._exact import bareiss_determinant, fraction_inverse
+from clique_blowup._exact import bareiss_determinant
 from clique_blowup.blowup import blowup_counts, count_sequence
 from clique_blowup.indexes import _combinatorial_laplacian
 
@@ -150,22 +151,50 @@ class TestOracles:
         with pytest.raises(SizeCapExceededError):
             kf_star_exact(petersen(), max_order=5)
 
+    def test_kf_exact_does_not_depend_on_labels_or_grounded_vertex(self):
+        # exact Kf* grounds vertex 0; shuffling the labels grounds other vertices
+        params = BlowupParams(4, 2)
+        blown = blowup_iterate(C4, params)
+        assert blown.vertex_count == 60
+        expected = kf_star_blowup_closed(20, 4, 4, params)
+        assert expected == 24624
+        grounded_degrees = set()
+        for seed in (None, 0, 1, 2):
+            label = list(range(blown.vertex_count))
+            if seed is not None:
+                random.Random(seed).shuffle(label)
+            relabelled = Graph(blown.vertex_count, [(label[u], label[v]) for u, v in blown.edges])
+            grounded_degrees.add(relabelled.degrees[0])
+            exact = kf_star_exact(relabelled)
+            assert isinstance(exact, Fraction)
+            assert exact == expected
+        assert len(grounded_degrees) > 1
+
+    def test_kf_exact_of_single_vertex_is_a_fraction(self):
+        exact = kf_star_exact(Graph(1, []))
+        assert isinstance(exact, Fraction)
+        assert exact == 0
+
     @settings(max_examples=30, deadline=None)
-    @given(connected_graphs(min_vertices=2, max_vertices=7))
+    @given(connected_graphs(min_vertices=1, max_vertices=7))
     def test_kf_identity_equals_resistance_definition(self, g):
-        # sum_{i<j} d_i d_j r_ij with r_ij = S_ii + S_jj - 2 S_ij, S = (L + J/N)^-1
+        # sum_{i<j} d_i d_j r_ij with r_ij = S_ii + S_jj - 2 S_ij, S = (L + J/N)^-1;
+        # sympy inverts S, so the reference shares no code with kf_star_exact
         size, deg = g.vertex_count, g.degrees
-        shift = Fraction(1, size)
-        lap = _combinatorial_laplacian(g)
-        s = fraction_inverse([[x + shift for x in row] for row in lap])
+        shift = sympy.Rational(1, size)
+        lap = _combinatorial_laplacian(g).tolist()
+        s = sympy.Matrix(size, size, lambda i, j: lap[i][j] + shift).inv()
         definition = sum(
-            deg[i] * deg[j] * (s[i][i] + s[j][j] - 2 * s[i][j])
-            for i in range(size)
-            for j in range(i + 1, size)
+            (
+                deg[i] * deg[j] * (s[i, i] + s[j, j] - 2 * s[i, j])
+                for i in range(size)
+                for j in range(i + 1, size)
+            ),
+            sympy.Integer(0),
         )
         exact = kf_star_exact(g)
         assert isinstance(exact, Fraction)
-        assert exact == definition
+        assert exact == Fraction(int(definition.p), int(definition.q))
         assert kf_star_direct(g) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_tau_exact_triangle(self):
