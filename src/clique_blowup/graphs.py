@@ -6,7 +6,10 @@ ordering is a public contract; the blowup construction derives its vertex
 labels from edge positions in it.
 
 Connectivity and the 2-colouring come from one breadth-first traversal,
-cached on the immutable Graph like its adjacency; every guard reads it.
+cached on the immutable Graph like its adjacency; every guard reads it. The
+true-twin classes (vertices with equal closed neighbourhoods) are grouped
+once per Graph too; the eigensolve and the exact and float index oracles
+all read that one grouping.
 """
 
 from __future__ import annotations
@@ -96,6 +99,25 @@ class Graph:
                 elif side[v] == side[u]:
                     clash = True
         return tuple(side), "" not in side, clash
+
+    @cached_property
+    def _twins(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """True-twin classes: each vertex's class, and each class's size and degree.
+
+        Vertices with the same closed neighbourhood N[v] share a class, and so
+        a degree. Classes are numbered by their smallest vertex, so a
+        twin-free graph keeps its labels.
+        """
+        index: dict[tuple[int, ...], int] = {}
+        class_of = tuple(
+            index.setdefault(tuple(sorted(ns + (v,))), len(index))
+            for v, ns in enumerate(self.adjacency)
+        )
+        size, degree = [0] * len(index), [0] * len(index)
+        for c, d in zip(class_of, self.degrees):
+            size[c] += 1
+            degree[c] = d
+        return class_of, tuple(size), tuple(degree)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@ Three mutually checking routes:
   Kemeny = sum(1/lambda), tau = (1/2m) * prod(d_i) * prod(lambda != 0);
 * oracle: resistance distances (Kf* = sum d_i d_j r_ij, summed by one
   identity on the float shifted and the exact grounded Laplacian inverse)
-  and the exact matrix-tree determinant for tau;
+  and the exact matrix-tree determinant for tau. Both run on the true-twin
+  quotient: the q x q integer Laplacian L_w = P^T L P of the classes of
+  vertices with equal closed neighbourhoods, read from the built graph's
+  adjacency. A twin class of size k and degree d enters through known
+  factors (eigenvalue d + 1 with multiplicity k - 1), so a blowup, whose
+  n - 2 new vertices per edge are twins, eliminates at order q, not N. A
+  twin-free graph has q = N and L_w = L. The exact cap bounds q;
+  ``resistance_matrix`` returns all N^2 pairs and stays at order N;
 * closed form: one-step blowup recurrences iterated in exact big-integer /
   rational arithmetic, cross-asserted against the single-shot expressions
   in the iteration depth r.
@@ -116,23 +123,47 @@ def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
     return math.exp(log_tau)
 
 
-def _combinatorial_laplacian(g: Graph) -> np.ndarray:
-    lap = np.diag(np.array(g.degrees, dtype=np.int64))
-    us, vs = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    lap[us, vs] = lap[vs, us] = -1
+def _class_laplacian(edges, class_of: np.ndarray, order: int) -> np.ndarray:
+    """Integer P^T L P, P the indicator matrix of a partition into true-twin classes.
+
+    Each edge puts -1 between the classes of its ends and +1 on their
+    diagonal entries, so adjacent classes T, U get -k_T k_U and an edge
+    inside a class adds nothing. Singleton classes give L itself.
+    """
+    us, vs = class_of[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
+    lap = np.zeros((order, order), dtype=np.int64)
+    rows, cols = np.concatenate([us, vs, us, vs]), np.concatenate([vs, us, us, vs])
+    np.add.at(lap, (rows, cols), np.repeat([-1, -1, 1, 1], len(us)))
     return lap
 
 
-def _shifted_inverse(g: Graph) -> np.ndarray:
-    """(L + J/N)^{-1} of a connected graph, L its combinatorial Laplacian.
+def _combinatorial_laplacian(g: Graph) -> np.ndarray:
+    n = g.vertex_count
+    return _class_laplacian(g.edges, np.arange(n), n)
 
-    For a connected graph the shifted matrix is positive definite, so it has
-    a Cholesky factor C (the factorization fails otherwise) and
-    (L + J/N)^{-1} = C^{-T} C^{-1}.
+
+def _twin_laplacian(g: Graph, max_order: int | None = None) -> np.ndarray:
+    """Integer Laplacian L_w of the true-twin quotient, order q capped at max_order.
+
+    L_w is the Laplacian of the classes with weight k_T k_U between adjacent
+    classes T and U. A twin-free graph has q = N and L_w = L.
     """
     require_connected(g)
-    shifted = np.asarray(_combinatorial_laplacian(g), dtype=float)
-    shifted += 1.0 / g.vertex_count
+    class_of, size, _ = g._twins
+    if max_order is not None and len(size) > max_order:
+        raise SizeCapExceededError(f"order {len(size)} exceeds exact cap {max_order}")
+    return _class_laplacian(g.edges, np.array(class_of, dtype=np.intp), len(size))
+
+
+def _shifted_inverse(lap) -> np.ndarray:
+    """(L + J/q)^{-1} of the order-q Laplacian L of a connected (weighted) graph.
+
+    The shifted matrix is then positive definite, so it has a Cholesky
+    factor C (the factorization fails otherwise) and
+    (L + J/q)^{-1} = C^{-T} C^{-1}.
+    """
+    shifted = np.asarray(lap, dtype=float)
+    shifted += 1.0 / len(shifted)
     try:
         factor = np.linalg.cholesky(shifted)
         del shifted
@@ -143,25 +174,46 @@ def _shifted_inverse(g: Graph) -> np.ndarray:
     return inv_factor.T @ inv_factor
 
 
-def _kf_star_identity(inverse: np.ndarray, degrees) -> Fraction | np.floating:
-    """Kf* = 2m * sum_i d_i S_ii - d^T S d for S = (L + J/N)^{-1}.
+def _kf_star_identity(inverse: np.ndarray, weights) -> Fraction | np.floating:
+    """sum_{i<j} w_i w_j r_ij = W * sum_i w_i S_ii - w^T S w, W = sum_i w_i.
 
-    Expands sum_{i<j} d_i d_j r_ij with r_ij = S_ii + S_jj - 2 S_ij (Klein &
-    Randic 1993); S differs from the pseudoinverse L^+ by J/N, and that
-    shift cancels between the two terms. Works on a float array and on an
-    object array of Fractions alike: the degrees take the array's dtype.
+    Expands the sum with r_ij = S_ii + S_jj - 2 S_ij (Klein & Randic 1993),
+    which holds for any symmetric S that gives the resistances: (L + J/q)^{-1}
+    and the zero-padded grounded inverse differ from the pseudoinverse L^+ by
+    terms u 1^T + 1 u^T, which cancel. Works on a float array and on an
+    object array of Fractions alike: the weights take the array's dtype.
     """
-    deg = np.array(degrees, dtype=inverse.dtype)
-    return deg.sum() * (inverse.diagonal() @ deg) - deg @ (inverse @ deg)
+    w = np.array(weights, dtype=inverse.dtype)
+    return w.sum() * (inverse.diagonal() @ w) - w @ (inverse @ w)
+
+
+def _kf_star_twins(inverse: np.ndarray, g: Graph) -> Fraction | np.floating:
+    """Kf* of g from S, any symmetric matrix that gives the resistances of L_w.
+
+    Let class T have size k_T and degree d_T. Vectors that sum to 0 on one
+    class are eigenvectors of L with eigenvalue d_T + 1, so inside T
+    r_ij = 2/(d_T + 1), and for i in T, j in U != T
+    r_ij = R_w(T, U) + a_T + a_U with a_T = (k_T - 1)/(k_T (d_T + 1)). Summed
+    with weights d_i d_j, the pairs between classes give the identity on
+    w = k * d (sum 2m) plus the a_T terms, and those and the pairs inside
+    classes add up to 2m * sum_T d_T (k_T - 1)/(d_T + 1), which is 0 without
+    twins.
+    """
+    _, size, degree = g._twins
+    inside = sum((Fraction(d * (k - 1), d + 1) for k, d in zip(size, degree)), Fraction(0))
+    weights = [k * d for k, d in zip(size, degree)]
+    # the twin term takes the array's dtype too: a Fraction, or a rounded float
+    return _kf_star_identity(inverse, weights) + inverse.dtype.type(2 * g.edge_count * inside)
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
     """Effective resistances between all vertex pairs.
 
     Uses the pseudoinverse of the combinatorial Laplacian through the
-    rank-one shift (L + J/N)^{-1} - J/N.
+    rank-one shift (L + J/N)^{-1} - J/N, at order N: every pair is returned.
     """
-    pinv = _shifted_inverse(g)
+    require_connected(g)
+    pinv = _shifted_inverse(_combinatorial_laplacian(g))
     pinv -= 1.0 / g.vertex_count
     pinv += pinv.T  # numpy reads the overlapping operand as if copied first
     pinv /= 2.0
@@ -174,8 +226,11 @@ def resistance_matrix(g: Graph) -> np.ndarray:
 
 
 def kf_star_direct(g: Graph) -> float:
-    """Float Kf* = sum of d_i d_j r_ij over unordered pairs, without the resistance matrix."""
-    return float(_kf_star_identity(_shifted_inverse(g), g.degrees))
+    """Float Kf* = sum of d_i d_j r_ij over unordered pairs, on the twin quotient.
+
+    S = (L_w + J/q)^{-1} by Cholesky gives the resistances of L_w.
+    """
+    return float(_kf_star_twins(_shifted_inverse(_twin_laplacian(g)), g))
 
 
 def kemeny_direct(g: Graph) -> float:
@@ -184,19 +239,15 @@ def kemeny_direct(g: Graph) -> float:
 
 
 def kf_star_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
-    """Exact rational Kf*: the Kf* identity on the grounded Laplacian inverse.
+    """Exact rational Kf* on the twin quotient, whose order q is capped at max_order.
 
-    G is the inverse of the integer minor L[1:, 1:] (as in ``tau_exact``),
-    padded with zeros for vertex 0. It gives r_ij = G_ii + G_jj - 2 G_ij, and
-    the identity holds for any symmetric G that does.
+    S is the inverse of the integer minor L_w[1:, 1:] (as in ``tau_exact``),
+    padded with zeros for class 0; it gives the resistances of L_w.
     """
-    require_connected(g)
-    size = g.vertex_count
-    if size > max_order:
-        raise SizeCapExceededError(f"order {size} exceeds exact cap {max_order}")
-    inverse = np.full((size, size), Fraction(0), dtype=object)
-    inverse[1:, 1:] = fraction_inverse(_combinatorial_laplacian(g)[1:, 1:].tolist())
-    return _kf_star_identity(inverse, g.degrees)
+    lap = _twin_laplacian(g, max_order)
+    inverse = np.full(lap.shape, Fraction(0), dtype=object)
+    inverse[1:, 1:] = fraction_inverse(lap[1:, 1:].tolist())
+    return _kf_star_twins(inverse, g)
 
 
 def kemeny_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -204,18 +255,24 @@ def kemeny_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
 
 
 def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
-    """Exact spanning-tree count: matrix-tree determinant, multi-modular.
+    """Exact spanning-tree count on the twin quotient, whose order q is capped.
 
-    Deletes row and column 0 of the integer combinatorial Laplacian and
-    takes its determinant modulo enough primes to pass the Hadamard bound;
-    the result is exact at any size the cap allows.
+    tau = det(L_w[1:, 1:]) * prod_T (d_T + 1)^(k_T - 1) / prod_T k_T: the
+    minor is a cofactor of the weighted quotient (weighted matrix-tree
+    theorem), and each class adds d_T + 1 with multiplicity k_T - 1 to the
+    Laplacian spectrum. The determinant is taken modulo enough primes to
+    pass the Hadamard bound, so the count is exact at any size the cap
+    allows.
     """
-    require_connected(g)
-    if g.vertex_count > max_order:
-        raise SizeCapExceededError(
-            f"order {g.vertex_count} exceeds exact cap {max_order}"
+    minor = _twin_laplacian(g, max_order)[1:, 1:].tolist()
+    _, size, degree = g._twins
+    twin_factor = math.prod((d + 1) ** (k - 1) for k, d in zip(size, degree))
+    count, remainder = divmod(modular_determinant(minor) * twin_factor, math.prod(size))
+    if remainder:
+        raise InternalAssertionError(
+            f"quotient tree count is not divisible by the class sizes ({remainder} left)"
         )
-    return modular_determinant(_combinatorial_laplacian(g)[1:, 1:].tolist())
+    return count
 
 
 def _kf_one_step(kf: Fraction, vertices: int, edges: int, n: int) -> Fraction:
@@ -361,7 +418,8 @@ def compute(
 
     closed_form lifts exact base values of g and never constructs the
     blowup; spectral and oracle construct it under max_vertices. Exact
-    routines are capped at exact_cap vertices.
+    routines are capped at exact_cap rows of the twin quotient they
+    eliminate.
     """
     if route not in ROUTES:
         raise InvalidParameterError(f"route must be one of {ROUTES}")

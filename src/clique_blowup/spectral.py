@@ -15,7 +15,8 @@ closed neighbourhood N[v]. For x supported on a class of k twins of degree
 d with sum(x) = 0, Ax = -x, so the class gives 1 + 1/d with multiplicity
 k - 1; ``eig_sym`` solves only the symmetric quotient with one row per
 class, whose singleton case is ``normalized_laplacian``. The classes come
-from the adjacency of the graph as built, never from the blowup
+from the adjacency of the graph as built (``Graph._twins``, grouped once
+per graph and shared with the index oracles), never from the blowup
 parameters or the theorem, so the two routes stay independent.
 
 ``multiset_match`` compares the two on flattened value lists so clustering
@@ -232,26 +233,6 @@ def _quotient_laplacian(
     return m
 
 
-def _true_twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class of each vertex, and the size and degree of each class.
-
-    Vertices with the same closed neighbourhood N[v] share a class, and so a
-    degree. Classes are numbered by their smallest vertex, so a twin-free
-    graph keeps its labels.
-    """
-    index: dict[tuple[int, ...], int] = {}
-    class_of = np.array(
-        [
-            index.setdefault(tuple(sorted(ns + (v,))), len(index))
-            for v, ns in enumerate(g.adjacency)
-        ],
-        dtype=np.intp,
-    )
-    degree = np.empty(len(index))
-    degree[class_of] = g.degrees
-    return class_of, np.bincount(class_of).astype(float), degree
-
-
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense symmetric matrix with M[i,i] = 1, M[i,j] = -1/sqrt(d_i d_j) for i~j."""
     _require_laplacian(g)
@@ -307,7 +288,9 @@ def laplacian_spectrum(
     Ax = -x), and eig_sym solves only the quotient over the classes.
     """
     check_spectrum_input(g, max_order)
-    class_of, size, degree = _true_twin_classes(g)
+    classes, sizes, degrees = g._twins
+    class_of = np.array(classes, dtype=np.intp)
+    size, degree = np.array(sizes, dtype=float), np.array(degrees, dtype=float)
     deflated: dict[float, int] = {}
     for k, d in zip(size[size > 1], degree[size > 1]):
         value = 1.0 + 1.0 / float(d)

@@ -5,7 +5,8 @@ against direct eigendecompositions, closed-form index recurrences against
 resistance-distance and matrix-tree oracles, plus the structural spectrum
 properties (trace, range, bipartite symmetry, incidence rank dichotomy).
 Each corpus graph's spectrum, bipartite flag, exact Kf* and exact tau are
-computed once, by ``base_facts``, and shared by all of its checks.
+computed once, by ``base_facts``, and shared by all of its checks, and so is
+each (n, r) level that the closed forms lift from them.
 Cells whose blowups exceed the size caps are skipped, not failed.
 """
 
@@ -119,12 +120,28 @@ def _rel_close(a: float, b: float, rtol: float) -> bool:
 
 @dataclass(frozen=True)
 class BaseFacts:
-    """Facts of one corpus graph that its checks share; exact ones None over the cap."""
+    """Facts of one corpus graph that its checks share; exact ones None over the cap.
+
+    ``levels`` keeps each (n, r) closed-form lift that ``closed_form`` made, so
+    the monotonicity and cell checks lift each level once; it travels with
+    the facts when cells run in worker processes.
+    """
 
     spectrum: SpectrumMultiset
     bipartite: bool
     kf_star: Fraction | None
     tau: int | None
+    levels: dict[tuple[int, int], tuple[Fraction, Fraction, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def closed_form(self, g: Graph, n: int, r: int) -> tuple[Fraction, Fraction, int]:
+        """Exact (Kf*, Kemeny, tau) of the (n, r) blowup of g, lifted once."""
+        if (n, r) not in self.levels:
+            self.levels[n, r] = indexes._closed_form_lift(
+                self.kf_star, self.tau, g.vertex_count, g.edge_count, BlowupParams(n, r)
+            )
+        return self.levels[n, r]
 
 
 def base_facts(g: Graph, exact_cap: int = indexes.DEFAULT_EXACT_CAP) -> BaseFacts:
@@ -215,12 +232,8 @@ def monotonicity_checks(
     out: list[CheckResult] = []
     if base.kf_star is None or r_max < 1:
         return out
-    kf0, tau0, n0, e0 = base.kf_star, base.tau, g.vertex_count, g.edge_count
     for n in n_list:
-        levels = [
-            indexes._closed_form_lift(kf0, tau0, n0, e0, BlowupParams(n, r))
-            for r in range(r_max + 1)
-        ]
+        levels = [base.closed_form(g, n, r) for r in range(r_max + 1)]
         increasing = all(
             a < b for low, high in zip(levels, levels[1:]) for a, b in zip(low, high)
         )
@@ -286,9 +299,7 @@ def cell_checks(
         add("one-step-scaling", scaling_ok)
 
     if base.kf_star is not None:
-        kf_closed, ke_closed, tau_closed = indexes._closed_form_lift(
-            base.kf_star, base.tau, n0, e0, params
-        )
+        kf_closed, ke_closed, tau_closed = base.closed_form(g, n, r)
         add(
             "closed-kf-kemeny-identity",
             kf_closed == 2 * counts.edges * ke_closed,

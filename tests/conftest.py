@@ -23,6 +23,32 @@ def connected_graphs(draw, min_vertices=2, max_vertices=8):
     return Graph(n, sorted(edges))
 
 
+@st.composite
+def graphs_with_twins(draw):
+    """Connected graph in which some vertices are cloned with their closed neighbourhood."""
+    g = draw(connected_graphs(max_vertices=6))
+    edges = list(g.edges)
+    order = g.vertex_count
+    for v in draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=5)):
+        closed = {u for e in edges if v in e for u in e} | {v}
+        edges.extend((u, order) for u in sorted(closed))
+        order += 1
+    return Graph(order, edges)
+
+
+def record_orders(monkeypatch, module, name):
+    """Patch module.name to record the order of the matrix it gets first."""
+    orders = []
+    original = getattr(module, name)
+
+    def wrapper(matrix, *args, **kwargs):
+        orders.append(len(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return orders
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return default_corpus()

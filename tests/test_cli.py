@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import clique_blowup
-from clique_blowup import cli
+from clique_blowup import BlowupParams, cli, tau_blowup_closed
 from clique_blowup.cli import main
 
 
@@ -298,12 +298,25 @@ class TestIndexes:
         assert "--n" in err
 
     def test_oracle_over_exact_cap_exits_3(self, capsys):
+        # the n=3 blowup has no true twins, so its quotient order q = N = 25
         code, _, _ = run(
             capsys,
-            "indexes", "--input", "petersen", "--n", "6", "--r", "1",
-            "--route", "oracle", "--exact-cap", "50",
+            "indexes", "--input", "petersen", "--n", "3", "--r", "1",
+            "--route", "oracle", "--exact-cap", "20",
         )
         assert code == 3
+
+    def test_exact_cap_bounds_the_twin_quotient(self, capsys):
+        # N = 70 is over the cap, but the 15 cliques of 4 twins leave q = 25
+        code, out, _ = run(
+            capsys,
+            "indexes", "--input", "petersen", "--n", "6", "--r", "1",
+            "--route", "oracle", "--exact-cap", "50", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["tau_exact"] == str(
+            tau_blowup_closed(2000, 10, 15, BlowupParams(6, 1))
+        )
 
     def test_closed_form_table_output_is_pinned(self):
         # a child interpreter, so that any warning reaches the real stderr

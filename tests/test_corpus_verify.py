@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,33 @@ class TestHarness:
         )
         assert cells_within_cap == 2
         assert calls == {"kf_star_exact": 2, "tau_exact": 2 + cells_within_cap}
+
+    def test_closed_form_levels_lifted_once_per_graph(self, monkeypatch):
+        lifts = []
+        original = indexes._closed_form_lift
+
+        def counted(kf0, tau0, n0, e0, params):
+            lifts.append((n0, params.n, params.r))
+            return original(kf0, tau0, n0, e0, params)
+
+        monkeypatch.setattr(indexes, "_closed_form_lift", counted)
+        corpus = [("complete:3", gen_family("complete", 3)),
+                  ("cycle:4", gen_family("cycle", 4))]
+        report = run_verification(corpus, [3, 4], [1, 2])
+        assert report.passed
+        # monotonicity lifts r = 0, 1, 2 for each n; the cells reuse r = 1, 2
+        assert sorted(lifts) == sorted(
+            (n0, n, r) for n0 in (3, 4) for n in (3, 4) for r in (0, 1, 2)
+        )
+        assert len(set(lifts)) == len(lifts) == 12
+
+    def test_shared_levels_survive_pickling(self):
+        g = gen_family("cycle", 4)
+        base = base_facts(g)
+        level = base.closed_form(g, 3, 2)
+        copy = pickle.loads(pickle.dumps(base))
+        assert copy.levels == {(3, 2): level}
+        assert dataclasses.replace(base, kf_star=base.kf_star + 1).levels == {}
 
     def test_resistance_triangle_violation_fails(self, monkeypatch):
         # d(0, 2) = 5 exceeds the detour d(0, 1) + d(1, 2) = 2

@@ -35,11 +35,11 @@ from clique_blowup import (
     tau_spectral,
 )
 from clique_blowup import indexes
-from clique_blowup._exact import bareiss_determinant
+from clique_blowup._exact import bareiss_determinant, fraction_inverse, modular_determinant
 from clique_blowup.blowup import blowup_counts, count_sequence
 from clique_blowup.indexes import _combinatorial_laplacian
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs_with_twins, record_orders
 
 SIGMA_K2 = SpectrumMultiset(((Fraction(0), 1), (Fraction(2), 1)))
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -251,6 +251,92 @@ class TestOracles:
 
     def test_kemeny_direct(self):
         assert kemeny_direct(K3) == pytest.approx(4 / 3)
+
+
+class TestTwinQuotient:
+    """The oracles eliminate at the order q of the true-twin quotient, not N.
+
+    Each reduced route is compared with an order-N reference on the
+    Laplacian itself.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_twins())
+    def test_reduced_routes_equal_full_order(self, g):
+        size = g.vertex_count
+        assert len(g._twins[1]) < size
+        minor = _combinatorial_laplacian(g)[1:, 1:].tolist()
+        assert tau_exact(g) == modular_determinant(minor)
+        full = np.full((size, size), Fraction(0), dtype=object)
+        full[1:, 1:] = fraction_inverse(minor)
+        exact = kf_star_exact(g)
+        assert isinstance(exact, Fraction)
+        assert exact == indexes._kf_star_identity(full, g.degrees)
+        deg = np.array(g.degrees, dtype=float)
+        reference = deg @ resistance_matrix(g) @ deg / 2
+        tol = 64 * size * np.finfo(float).eps
+        assert abs(kf_star_direct(g) - reference) <= tol * reference
+
+    def test_petersen_blowup_at_default_cap(self, monkeypatch):
+        # N = 220 is over the default cap of 200; 90 pairs of twins leave q = 130
+        params = BlowupParams(4, 2)
+        blown = blowup_iterate(petersen(), params)
+        assert (blown.vertex_count, len(blown._twins[1])) == (220, 130)
+        orders = record_orders(monkeypatch, indexes, "modular_determinant")
+        assert tau_exact(blown) == tau_blowup_closed(2000, 10, 15, params)
+        assert orders == [129]
+
+    def test_twin_free_graph_eliminates_at_order_n(self, monkeypatch):
+        blown = blowup_iterate(petersen(), BlowupParams(3, 1))
+        assert len(blown._twins[1]) == blown.vertex_count == 25
+        det_orders = record_orders(monkeypatch, indexes, "modular_determinant")
+        inv_orders = record_orders(monkeypatch, indexes, "fraction_inverse")
+        tau_exact(blown)
+        kf_star_exact(blown)
+        assert det_orders == inv_orders == [24]
+
+    def test_kf_exact_inverts_the_quotient_minor(self, monkeypatch):
+        params = BlowupParams(6, 2)
+        blown = blowup_iterate(gen_family("path", 4), params)
+        assert blown.vertex_count == 196
+        orders = record_orders(monkeypatch, indexes, "fraction_inverse")
+        assert kf_star_exact(blown) == kf_star_blowup_closed(19, 4, 3, params)
+        assert orders == [60]
+
+    def test_twin_free_float_kf_is_unchanged(self):
+        # with q = N the quotient is L itself and the twin term is exactly 0
+        g = blowup_iterate(petersen(), BlowupParams(3, 1))
+        shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / g.vertex_count
+        inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
+        expected = indexes._kf_star_identity(inv_factor.T @ inv_factor, g.degrees)
+        assert kf_star_direct(g) == float(expected)
+
+    def test_cap_bounds_the_quotient_order(self):
+        blown = blowup_iterate(petersen(), BlowupParams(6, 1))
+        assert (blown.vertex_count, len(blown._twins[1])) == (70, 25)
+        assert tau_exact(blown, max_order=25) == tau_blowup_closed(2000, 10, 15, BlowupParams(6, 1))
+        with pytest.raises(SizeCapExceededError, match="^order 25 exceeds exact cap 24$"):
+            tau_exact(blown, max_order=24)
+        with pytest.raises(SizeCapExceededError, match="^order 25 exceeds exact cap 24$"):
+            kf_star_exact(blown, max_order=24)
+
+    def test_indivisible_quotient_count_raises(self, monkeypatch):
+        # path:3 n=3 r=1 has two classes of 2 twins of degree 2, so the quotient
+        # count times 3 * 3 must be divisible by 2 * 2
+        blown = blowup_iterate(P3, BlowupParams(3, 1))
+        assert sorted(blown._twins[1]) == [1, 2, 2]
+        monkeypatch.setattr(indexes, "modular_determinant", lambda minor: 1)
+        with pytest.raises(InternalAssertionError, match="not divisible"):
+            tau_exact(blown)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_complete_graph_is_one_class(self, monkeypatch, k):
+        orders = record_orders(monkeypatch, indexes, "fraction_inverse")
+        g = gen_family("complete", k)
+        assert tau_exact(g) == k ** (k - 2)
+        assert kf_star_exact(g) == (k - 1) ** 3
+        assert kf_star_direct(g) == (k - 1) ** 3
+        assert orders == [0]
 
 
 class TestClosedForms:

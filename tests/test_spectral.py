@@ -33,7 +33,7 @@ from clique_blowup import (
 from clique_blowup import spectral
 from clique_blowup.spectral import SYMMETRY_BLOCK
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs_with_twins, record_orders
 
 # frozen by hand: L(K_3) = (3/2)I - J/2 and J has eigenvalues {3, 0, 0}
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -127,32 +127,6 @@ class TestEigSym:
             eig_sym(np.eye(5), max_order=4)
 
 
-@st.composite
-def graphs_with_twins(draw):
-    """Connected graph in which some vertices are cloned with their closed neighbourhood."""
-    g = draw(connected_graphs(max_vertices=6))
-    edges = list(g.edges)
-    order = g.vertex_count
-    for v in draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=5)):
-        closed = {u for e in edges if v in e for u in e} | {v}
-        edges.extend((u, order) for u in sorted(closed))
-        order += 1
-    return Graph(order, edges)
-
-
-def recording_eig_sym(monkeypatch):
-    """Patch spectral.eig_sym to record the order of every matrix it receives."""
-    orders = []
-    original = spectral.eig_sym
-
-    def wrapper(matrix, *args, **kwargs):
-        orders.append(matrix.shape[0])
-        return original(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "eig_sym", wrapper)
-    return orders
-
-
 class TestTwinDeflation:
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_twins())
@@ -160,7 +134,7 @@ class TestTwinDeflation:
         # tolerance fixed from the dtype: 64 N eps for an order-N eigensolve
         dense = np.linalg.eigvalsh(normalized_laplacian(g))
         sigma = laplacian_spectrum(g)
-        assert len(spectral._true_twin_classes(g)[1]) < g.vertex_count
+        assert len(g._twins[1]) < g.vertex_count
         assert sigma.order == g.vertex_count
         tol = 64 * g.vertex_count * np.finfo(float).eps
         assert np.max(np.abs(np.array(sigma.flatten()) - dense)) <= tol
@@ -171,13 +145,13 @@ class TestTwinDeflation:
     def test_twin_free_is_bit_identical_to_dense(self, monkeypatch, spec, n, r):
         g = blowup_iterate(graph_from_spec(spec), BlowupParams(n, r))
         dense = eig_sym(normalized_laplacian(g))
-        orders = recording_eig_sym(monkeypatch)
+        orders = record_orders(monkeypatch, spectral, "eig_sym")
         assert laplacian_spectrum(g).entries == dense.entries
         assert orders == [g.vertex_count]
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_complete_graph_is_one_class(self, monkeypatch, k):
-        orders = recording_eig_sym(monkeypatch)
+        orders = record_orders(monkeypatch, spectral, "eig_sym")
         sigma = laplacian_spectrum(gen_family("complete", k))
         assert orders == [1]
         assert sigma.entries[0] == (0.0, 1)
@@ -188,7 +162,7 @@ class TestTwinDeflation:
     def test_blowup_solves_only_the_quotient(self, monkeypatch):
         # Petersen n=8 r=2: 100 singleton classes and 420 cliques of 6 twins
         g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
-        orders = recording_eig_sym(monkeypatch)
+        orders = record_orders(monkeypatch, spectral, "eig_sym")
         sigma = laplacian_spectrum(g)
         assert orders == [520]
         assert sigma.order == 2620
@@ -206,7 +180,7 @@ class TestTwinDeflation:
         def fail(*args):
             raise AssertionError("classes computed over the cap")
 
-        monkeypatch.setattr(spectral, "_true_twin_classes", fail)
+        monkeypatch.setattr(Graph, "_twins", property(fail))
         with pytest.raises(SizeCapExceededError, match="^matrix order 10 exceeds cap 9$"):
             laplacian_spectrum(graph_from_spec("petersen"), max_order=9)
 
