@@ -207,8 +207,12 @@ def gen_family(family: str, k: int) -> Graph:
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches every vertex.
 
-    The empty graph is not connected; a single vertex is.
+    The empty graph is not connected; a single vertex is. Fewer than N - 1
+    edges cannot connect N vertices, so such a graph is rejected before its
+    adjacency or traversal is built.
     """
+    if g.edge_count < g.vertex_count - 1:
+        return False
     return g._traversal[1]
 
 

@@ -313,13 +313,40 @@ def _kemeny_r_level(ke0: Fraction, n0: int, e0: int, n: int, r: int) -> Fraction
     return a + b + (c1 + c2 + c3) * e0
 
 
-def _lift(label, one_step, r_level, x0, n0, e0, params: BlowupParams) -> Fraction:
-    """Iterate one_step over the blowup levels and check the single-shot r_level."""
-    value = Fraction(x0)
+def _tau_one_step(tau: int, vertices: int, edges: int, n: int) -> int:
+    exp2 = edges - vertices + 1
+    expn = (n - 3) * edges + vertices - 1
+    if exp2 < 0 or expn < 0:
+        raise InternalAssertionError(
+            f"negative exponent in one-step form (N={vertices}, E={edges})"
+        )
+    return tau * 2**exp2 * n**expn
+
+
+def _tau_r_level(tau0: int, n0: int, e0: int, n: int, r: int) -> int:
+    """Single-shot 2^a * n^b * tau0 after r steps; a and b must be integers."""
+    alpha = Fraction(Fraction(n * (n - 1), 2) ** r - 1, n * n - n - 2)
+    drift = Fraction(2 * e0, n + 1) * (2 * alpha - r)
+    exp2_total = 2 * e0 * alpha - r * n0 - drift + r
+    expn_total = 2 * (n - 3) * e0 * alpha + r * n0 + drift - r
+    if exp2_total.denominator != 1 or expn_total.denominator != 1:
+        raise InternalAssertionError(
+            f"single-shot exponents are not integers: {exp2_total}, {expn_total}"
+        )
+    return 2 ** int(exp2_total) * n ** int(expn_total) * tau0
+
+
+def _lift(label, one_step, r_level, x0, n0, e0, params: BlowupParams):
+    """Iterate one_step over the blowup levels and check the single-shot r_level.
+
+    x0 has the type the steps work in: a Fraction for Kf* and Kemeny, an int
+    for tau.
+    """
+    value = x0
     for vertices, edges in count_sequence(n0, e0, params.n, params.r)[:-1]:
         value = one_step(value, vertices, edges, params.n)
     if params.r >= 1:
-        single_shot = r_level(Fraction(x0), n0, e0, params.n, params.r)
+        single_shot = r_level(x0, n0, e0, params.n, params.r)
         if single_shot != value:
             raise InternalAssertionError(
                 f"single-shot {label} {single_shot} disagrees with iterated {value}"
@@ -337,7 +364,7 @@ def kf_star_blowup_closed(
     """
     if kf < 0:
         raise InvalidParameterError("Kf* must be non-negative")
-    return _lift("Kf*", _kf_one_step, _kf_r_level, kf, n0, e0, params)
+    return _lift("Kf*", _kf_one_step, _kf_r_level, Fraction(kf), n0, e0, params)
 
 
 def kemeny_blowup_closed(
@@ -350,7 +377,9 @@ def kemeny_blowup_closed(
     """
     if ke < 0:
         raise InvalidParameterError("Kemeny constant must be non-negative")
-    return _lift("Kemeny", _kemeny_one_step, _kemeny_r_level, ke, n0, e0, params)
+    return _lift(
+        "Kemeny", _kemeny_one_step, _kemeny_r_level, Fraction(ke), n0, e0, params
+    )
 
 
 def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:
@@ -363,33 +392,7 @@ def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:
     """
     if tau < 1:
         raise InvalidParameterError("spanning-tree count must be >= 1")
-    n, r = params.n, params.r
-    if r == 0:
-        return tau
-    value = tau
-    for vertices, edges in count_sequence(n0, e0, n, r)[:-1]:
-        exp2 = edges - vertices + 1
-        expn = (n - 3) * edges + vertices - 1
-        if exp2 < 0 or expn < 0:
-            raise InternalAssertionError(
-                f"negative exponent in one-step form (N={vertices}, E={edges})"
-            )
-        value *= 2**exp2 * n**expn
-
-    alpha = Fraction(Fraction(n * (n - 1), 2) ** r - 1, n * n - n - 2)
-    drift = Fraction(2 * e0, n + 1) * (2 * alpha - r)
-    exp2_total = 2 * e0 * alpha - r * n0 - drift + r
-    expn_total = 2 * (n - 3) * e0 * alpha + r * n0 + drift - r
-    if exp2_total.denominator != 1 or expn_total.denominator != 1:
-        raise InternalAssertionError(
-            f"single-shot exponents are not integers: {exp2_total}, {expn_total}"
-        )
-    single_shot = 2 ** int(exp2_total) * n ** int(expn_total) * tau
-    if single_shot != value:
-        raise InternalAssertionError(
-            f"single-shot tree count {single_shot} disagrees with iterated {value}"
-        )
-    return value
+    return _lift("tree count", _tau_one_step, _tau_r_level, tau, n0, e0, params)
 
 
 def _closed_form_lift(

@@ -332,6 +332,28 @@ def spectrum_by_theorem(
     with multiplicity 1 when bipartite is set. Arithmetic is exact when
     every input value is an exact rational, double precision otherwise.
     The output multiplicities must total N + (n-2)E.
+
+    The mapped values are distinct by construction, so they are sorted, never
+    clustered, and kept apart by cluster_tol = tol/(n-1), tol the input's
+    (at level k of an iteration, the base's tol over (n-1)^(k-1)):
+
+    * input gaps above tol become gaps above tol/(n-1) after scaling by
+      1/(n-1);
+    * the mapped 0 stays exact, and the smallest scaled value, more than
+      tol above the input's 0, lies more than tol/(n-1) above it;
+    * n/(n-1) lies at least (n-2)/(n-1) above every scaled value, which is at
+      most 2/(n-1);
+    * at level 1, 2/(n-1) lies (2-x)/(n-1) above a scaled x. Here x < 2: a
+      bipartite base's 2 is excluded, and the next value lies more than tol
+      below it;
+    * from level 2 on, every older value is at most n/(n-1)^2, which is
+      (n-2)/(n-1)^2 below 2/(n-1).
+
+    Those two fixed gaps, below n/(n-1) and below 2/(n-1), exceed the level's
+    cluster_tol whenever the base's tol is below 1. So the only input the constructor's gap check can reject is
+    a non-bipartite base whose largest eigenvalue lies within tol of 2; it
+    raises InconsistentSpectrumError. Each level divides the resolution with
+    the values, so depth is bounded only by double underflow.
     """
     if n < 3:
         raise InvalidParameterError(f"clique size n must be >= 3, got {n}")
@@ -368,12 +390,12 @@ def spectrum_by_theorem(
         out.append((low, mult_low))
     out.append((high, (n - 3) * e0 + n0))
 
-    result = SpectrumMultiset.from_entries(out, cluster_tol=tol)
-    # a merge would replace distinct mapped values by their weighted mean
-    if len(result.entries) != len({v for v, _ in out}):
+    try:
+        result = SpectrumMultiset(tuple(sorted(out)), cluster_tol=tol / (n - 1))
+    except InvalidParameterError as exc:
         raise InconsistentSpectrumError(
-            f"distinct mapped eigenvalues merged within cluster_tol={tol:g}"
-        )
+            f"mapped eigenvalues not separated by cluster_tol={tol / (n - 1):g}: {exc}"
+        ) from exc
     expected = n0 + (n - 2) * e0
     if result.order != expected:
         raise InternalAssertionError(

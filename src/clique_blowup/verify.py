@@ -7,7 +7,7 @@ properties (trace, range, bipartite symmetry, incidence rank dichotomy).
 Each corpus graph's spectrum, bipartite flag, exact Kf* and exact tau are
 computed once, by ``base_facts``, and shared by all of its checks, and so is
 each (n, r) level that the closed forms lift from them.
-Cells whose blowups exceed the size caps are skipped, not failed.
+Graphs and cells that exceed the size caps are skipped, not failed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import indexes
 from .blowup import (
     DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate, clique_blowup
 )
-from .errors import CliqueBlowupError, InvalidParameterError
+from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
 from .graphs import (
     Graph,
     bipartition,
@@ -144,9 +144,13 @@ class BaseFacts:
         return self.levels[n, r]
 
 
-def base_facts(g: Graph, exact_cap: int = indexes.DEFAULT_EXACT_CAP) -> BaseFacts:
+def base_facts(
+    g: Graph,
+    exact_cap: int = indexes.DEFAULT_EXACT_CAP,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+) -> BaseFacts:
     """Numeric spectrum, bipartite flag, exact Kf* and exact tau of g."""
-    spectrum = laplacian_spectrum(g)
+    spectrum = laplacian_spectrum(g, max_order=max_vertices)
     bipartite = bipartition(g).is_bipartite
     if g.vertex_count > exact_cap:
         return BaseFacts(spectrum, bipartite, None, None)
@@ -349,11 +353,16 @@ def run_verification(
     for name, g in corpus:
         base = None
         try:
-            base = base_facts(g, exact_cap)
+            base = base_facts(g, exact_cap, max_vertices)
             results.extend(graph_checks(name, g, base, tol))
             results.extend(monotonicity_checks(name, g, base, n_list, r_max))
         except CliqueBlowupError as exc:
-            results.append(CheckResult("structural", name, False, f"error: {exc}"))
+            # a base over the vertex cap is skipped; its cells are larger still
+            over_cap = base is None and isinstance(exc, SizeCapExceededError)
+            status = "skipped" if over_cap else "error"
+            results.append(
+                CheckResult("structural", name, over_cap, f"{status}: {exc}", over_cap)
+            )
             if base is None:
                 base = exc
         bases.append(base)

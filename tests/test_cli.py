@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import clique_blowup
-from clique_blowup import BlowupParams, cli, tau_blowup_closed
+from clique_blowup import BlowupParams, blowup_counts, cli, tau_blowup_closed
 from clique_blowup.cli import main
 
 
@@ -155,27 +155,20 @@ class TestSpectra:
         assert code == 0
         assert out.startswith('{"order":48816970,')
 
-    def test_theorem_method_rejects_eigenvalue_merged_with_zero(self, capsys):
-        # at r = 9 a mapped eigenvalue falls within cluster_tol of 0
+    @pytest.mark.parametrize("r", [8, 9])
+    def test_theorem_method_maps_below_the_base_tolerance(self, capsys, r):
+        # the mapped 4.267e-6 and 5.12e-6 at r = 8, and 0 and 8.53e-7 at r = 9,
+        # lie within the base's 1e-6, but each level divides cluster_tol by n - 1
         code, out, err = run(
             capsys,
-            "spectra", "--input", "petersen", "--n", "6", "--r", "9",
+            "spectra", "--input", "petersen", "--n", "6", "--r", str(r),
             "--method", "theorem", "--format", "json",
         )
-        assert code == 2
-        assert out == ""
-        assert "cluster_tol" in err
-
-    def test_theorem_method_rejects_distinct_values_merging(self, capsys):
-        # at r = 8 the mapped 4.267e-6 and 5.12e-6 lie within cluster_tol
-        code, out, err = run(
-            capsys,
-            "spectra", "--input", "petersen", "--n", "6", "--r", "8",
-            "--method", "theorem", "--format", "json",
-        )
-        assert code == 2
-        assert out == ""
-        assert "cluster_tol" in err
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["order"] == blowup_counts(10, 15, BlowupParams(6, r)).vertices
+        assert doc["cluster_tol"] == pytest.approx(1e-6 / 5**r, rel=1e-12)
 
     def test_theorem_method_deepest_unmerged_output_is_pinned(self, capsys):
         code, out, err = run(
@@ -186,7 +179,7 @@ class TestSpectra:
         assert code == 0
         assert err == ""
         assert out == (
-            '{"order":732254470,"cluster_tol":9.9999999999999995e-07,"entries":[[0,1],'
+            '{"order":732254470,"cluster_tol":1.2800000000000002e-11,"entries":[[0,1],'
             "[8.5333333333333335e-06,5],[2.1333333333333335e-05,4],"
             "[2.5600000000000006e-05,5],[7.680000000000001e-05,55],"
             "[0.00012800000000000002,155],[0.00038400000000000006,745],"
@@ -472,6 +465,36 @@ class TestVerify:
             "first failure: structural on path:1: "
             "error: normalized Laplacian needs every degree >= 1\n"
         )
+
+    @pytest.mark.parametrize(
+        "cap,row,summary",
+        [
+            ("9", "petersen  skip        skip   ", "2 checks, 0 failures, 2 skipped"),
+            ("10", "petersen  ok          skip   ", "12 checks, 0 failures, 1 skipped"),
+        ],
+        ids=["base-over-cap", "base-at-cap"],
+    )
+    def test_vertex_cap_applies_to_base_graphs(self, capsys, cap, row, summary):
+        code, out, err = run(
+            capsys,
+            "verify", "--corpus", "petersen", "--n-list", "3", "--r-list", "1",
+            "--max-vertices", cap,
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            f"graph     structural  n=3,r=1\n{row}\nRESULT: PASS ({summary})\n"
+        )
+
+    def test_base_graph_error_outranks_vertex_cap(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--corpus", "path:1", "--n-list", "3", "--r-list", "1",
+            "--max-vertices", "0",
+        )
+        assert code == 1
+        assert "path:1  FAIL        skip   " in out
+        assert "needs every degree >= 1" in err
 
     @pytest.mark.parametrize("grid", [["--n-list", "2"], ["--r-list", "0"], ["--r-list=-1"]])
     def test_invalid_grid_exits_2(self, capsys, grid):

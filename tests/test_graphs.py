@@ -1,3 +1,4 @@
+import io
 from collections import deque
 
 import hypothesis.strategies as st
@@ -20,6 +21,7 @@ from clique_blowup import (
     parse_edge_list,
     serialize_edge_list,
 )
+from clique_blowup.cli import main
 
 from conftest import connected_graphs
 
@@ -247,12 +249,38 @@ class TestTraversal:
         assert len(traversals) == 1
 
     def test_disconnected_graph_traversed_once(self, traversals):
-        g = Graph(4, [(0, 1), (2, 3)])
+        # N - 1 edges, so the edge count alone does not rule it out
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
         for _ in range(3):
             with pytest.raises(NotConnectedError):
                 bipartition(g)
         assert not is_connected(g)
         assert len(traversals) == 1
+
+    @pytest.fixture
+    def unbuildable(self, monkeypatch):
+        """Make the cached adjacency and traversal raise if anything builds them."""
+
+        def refuse(self):
+            raise AssertionError("built the adjacency or the traversal")
+
+        for name in ("adjacency", "_traversal"):
+            monkeypatch.setattr(Graph, name, property(refuse))
+
+    def test_too_few_edges_rejected_without_traversal(self, unbuildable):
+        g = Graph(10_000_001, [(0, 10_000_000)])
+        assert not is_connected(g)
+        with pytest.raises(NotConnectedError, match="requires a connected graph"):
+            bipartition(g)
+
+    def test_sparse_stdin_blowup_exits_2_without_traversal(
+        self, unbuildable, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 10000000\n"))
+        assert main(["blowup", "--input", "-", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: operation requires a connected graph\n"
 
 
 class TestIncidenceRank:

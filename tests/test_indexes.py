@@ -362,6 +362,25 @@ class TestClosedForms:
     def test_tau_depth_zero(self):
         assert tau_blowup_closed(17, 5, 6, BlowupParams(3, 0)) == 17
 
+    def test_tau_stays_an_integer_on_the_shared_lift(self):
+        tau = tau_blowup_closed(3, 3, 3, BlowupParams(4, 3))
+        assert type(tau) is int
+        # one-step exponents summed over the levels (3, 3), (9, 18), (45, 108)
+        assert tau == 3 * 2**75 * 4**183
+
+    def test_tau_negative_exponent_rejected(self):
+        # E - N + 1 < 0: these counts belong to no connected graph
+        with pytest.raises(InternalAssertionError, match="negative exponent in one-step form"):
+            tau_blowup_closed(1, 5, 2, BlowupParams(3, 1))
+
+    def test_tau_corrupted_one_step_raises(self, monkeypatch):
+        original = indexes._tau_one_step
+        monkeypatch.setattr(
+            indexes, "_tau_one_step", lambda *args: 2 * original(*args)
+        )
+        with pytest.raises(InternalAssertionError, match="single-shot tree count"):
+            tau_blowup_closed(3, 3, 3, BlowupParams(5, 2))
+
     def test_rejects_negative_inputs(self):
         with pytest.raises(InvalidParameterError):
             kf_star_blowup_closed(-1, 2, 1, BlowupParams(3, 1))

@@ -19,6 +19,7 @@ from clique_blowup import (
     SizeCapExceededError,
     SpectrumMultiset,
     bipartition,
+    blowup_counts,
     blowup_iterate,
     clique_blowup,
     eig_sym,
@@ -31,6 +32,8 @@ from clique_blowup import (
     spectrum_iterated,
 )
 from clique_blowup import spectral
+from clique_blowup.blowup import count_sequence
+from clique_blowup.corpus import DEFAULT_CORPUS_SPECS
 from clique_blowup.spectral import SYMMETRY_BLOCK
 
 from conftest import connected_graphs, graphs_with_twins, record_orders
@@ -308,17 +311,31 @@ class TestTheoremMapping:
         with pytest.raises(InconsistentSpectrumError):
             spectrum_by_theorem(bad, 3, 3, 4, bipartite=False)
 
-    def test_mapped_value_merging_with_zero_rejected(self):
-        # 3e-6 / (n - 1) = 7.5e-7 lies within cluster_tol of the mapped 0
+    def test_mapped_value_near_zero_stays_apart(self):
+        # 3e-6 maps to 7.5e-7, within the base's 1e-6 of 0 but not within 1e-6/4
         sigma = SpectrumMultiset(((0.0, 1), (3e-6, 1), (1.5, 1)))
-        with pytest.raises(InconsistentSpectrumError, match="cluster_tol"):
-            spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+        mapped = spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+        assert mapped.entries == ((0.0, 1), (3e-6 / 4, 1), (1.5 / 4, 1), (1.25, 9))
+        assert mapped.cluster_tol == 1e-6 / 4
 
-    def test_distinct_mapped_values_merging_rejected(self):
-        # 1.0 and 1.000003 map to 0.25 and 0.25 + 7.5e-7, within cluster_tol
+    def test_close_distinct_values_stay_apart(self):
+        # 1.0 and 1.000003 map to 0.25 and 0.25 + 7.5e-7, still 3 * cluster_tol apart
         sigma = SpectrumMultiset(((0.0, 1), (1.0, 1), (1.000003, 1)))
+        mapped = spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+        assert mapped.entries == ((0.0, 1), (0.25, 1), (1.000003 / 4, 1), (1.25, 9))
+
+    @pytest.mark.parametrize("top", [2 - 5e-7, Fraction(2)])
+    def test_non_bipartite_eigenvalue_near_two_rejected(self, top):
+        # top / 4 lies within cluster_tol = 1e-6 / 4 of the new 2 / 4
+        sigma = SpectrumMultiset(((0.0, 1), (1.0, 2), (top, 1)))
         with pytest.raises(InconsistentSpectrumError, match="cluster_tol"):
-            spectrum_by_theorem(sigma, 3, 3, 5, bipartite=False)
+            spectrum_by_theorem(sigma, 4, 5, 5, bipartite=False)
+
+    def test_non_bipartite_eigenvalue_just_apart_from_two(self):
+        # (2 - top) / 4 = 5e-7 exceeds 1e-6 / 4, but not the base's 1e-6
+        sigma = SpectrumMultiset(((0.0, 1), (1.0, 2), (2 - 2e-6, 1)))
+        mapped = spectrum_by_theorem(sigma, 4, 5, 5, bipartite=False)
+        assert [float(v) for v, _ in mapped.entries] == [0, 0.25, (2 - 2e-6) / 4, 0.5, 1.25]
 
     def test_negative_low_multiplicity_rejected(self):
         # a connected non-bipartite graph cannot have E < N
@@ -362,6 +379,66 @@ class TestIteratedMapping:
     def test_depth_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
             spectrum_iterated(SIGMA_K3, 3, 3, BlowupParams(5, 0), bipartite=False)
+
+
+def reference_spectrum_by_theorem(sigma_g, n0, e0, n, bipartite):
+    """Reference mapping: cluster at the input's cluster_tol, reject any merge.
+
+    It fails once the mapped values shrink below that tolerance; where it
+    succeeds, spectrum_by_theorem must give the same entries.
+    """
+    tol = sigma_g.cluster_tol
+    entries = list(sigma_g.entries)
+    excluded = {spectral.zero_index(sigma_g)}
+    if bipartite:
+        (two_at,) = spectral._locate(entries, 2.0, tol)
+        excluded.add(two_at)
+    cast = Fraction if sigma_g.is_exact else float
+    out = [(cast(0), 1)]
+    out.extend(
+        (cast(v) / (n - 1), m) for i, (v, m) in enumerate(entries) if i not in excluded
+    )
+    mult_low = e0 - n0 + (1 if bipartite else 0)
+    if mult_low > 0:
+        out.append((cast(2) / (n - 1), mult_low))
+    out.append((cast(n) / (n - 1), (n - 3) * e0 + n0))
+    result = SpectrumMultiset.from_entries(out, cluster_tol=tol)
+    if len(result.entries) != len({v for v, _ in out}):
+        raise InconsistentSpectrumError(
+            f"distinct mapped eigenvalues merged within cluster_tol={tol:g}"
+        )
+    return result
+
+
+class TestMappingAtDepth:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(DEFAULT_CORPUS_SPECS).map(graph_from_spec),
+            connected_graphs(max_vertices=7),
+        ),
+        st.integers(3, 8),
+        st.integers(1, 12),
+    )
+    def test_order_resolution_and_reference_entries(self, g, n, r):
+        sigma, bip = laplacian_spectrum(g), bipartition(g).is_bipartite
+        n0, e0 = g.vertex_count, g.edge_count
+        mapped = spectrum_iterated(sigma, n0, e0, BlowupParams(n, r), bip)
+        assert mapped.order == blowup_counts(n0, e0, BlowupParams(n, r)).vertices
+        assert mapped.cluster_tol == pytest.approx(
+            sigma.cluster_tol / (n - 1) ** r, rel=1e-12
+        )
+        values = [float(v) for v, _ in mapped.entries]
+        assert all(b - a > mapped.cluster_tol for a, b in zip(values, values[1:]))
+        reference = sigma
+        try:
+            for level, (vertices, edges) in enumerate(count_sequence(n0, e0, n, r)[:-1]):
+                reference = reference_spectrum_by_theorem(
+                    reference, vertices, edges, n, bip and level == 0
+                )
+        except InconsistentSpectrumError:
+            return  # the reference merged values that the mapping keeps apart
+        assert mapped.entries == reference.entries
 
 
 class TestMultisetMatch:
