@@ -23,7 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, SizeCapExceededError
+
+DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
 
 # Primes below 2**31 in descending order, extended on demand. Residues stay
 # below 2**31, so a product of two fits in int64 with room for a subtraction.
@@ -61,6 +63,12 @@ def _primes(count: int) -> list[int]:
             _PRIMES.append(candidate)
         candidate -= 2
     return _PRIMES[:count]
+
+
+def require_within_cap(order: int, max_order: int) -> None:
+    """Raise SizeCapExceededError for an order over max_order; call it before allocating."""
+    if order > max_order:
+        raise SizeCapExceededError(f"order {order} exceeds exact cap {max_order}")
 
 
 def modular_determinant(matrix: list[list[int]]) -> int:

@@ -2,7 +2,7 @@
 
 stdout carries data, stderr carries diagnostics. Exit codes are a stable
 contract: 0 success or match, 1 verification mismatch, 2 invalid input,
-3 size cap exceeded, a result too large for a float, or out of memory.
+3 size cap exceeded, a result a double cannot hold, or out of memory.
 """
 
 from __future__ import annotations
@@ -296,7 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--format", choices=("table", "json"), default="table")
     p_idx.add_argument("--output", default=None)
     p_idx.add_argument("--max-vertices", type=int, default=None)
-    p_idx.add_argument("--exact-cap", type=int, default=indexes.DEFAULT_EXACT_CAP)
+    p_idx.add_argument(
+        "--exact-cap",
+        type=int,
+        default=indexes.DEFAULT_EXACT_CAP,
+        help="largest order q of the true-twin quotient that exact tau and Kf* "
+        f"eliminate (default {indexes.DEFAULT_EXACT_CAP})",
+    )
     # tau through the spectrum is documented to 1e-6 relative; the route
     # agreement verdict defaults to that accuracy
     p_idx.add_argument("--tol", type=_tolerance, default=1e-6)
@@ -309,7 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=_tolerance, default=DEFAULT_MATCH_TOL)
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--max-vertices", type=int, default=None)
-    p_ver.add_argument("--exact-cap", type=int, default=indexes.DEFAULT_EXACT_CAP)
+    p_ver.add_argument(
+        "--exact-cap",
+        type=int,
+        default=indexes.DEFAULT_EXACT_CAP,
+        help="largest order each capped routine eliminates: q of the true-twin "
+        "quotient for exact tau and Kf*, N for the incidence rank and the "
+        "resistances; a check over it is skipped "
+        f"(default {indexes.DEFAULT_EXACT_CAP})",
+    )
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -48,7 +48,7 @@ class InternalAssertionError(CliqueBlowupError):
 
 
 class SizeCapExceededError(CliqueBlowupError):
-    """The requested computation exceeds the configured size cap."""
+    """The requested computation exceeds a size cap, or the range of a double."""
 
 
 class NumericalFailureError(CliqueBlowupError):

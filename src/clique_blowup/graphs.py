@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ._exact import integer_rank
+from ._exact import DEFAULT_EXACT_CAP, integer_rank, require_within_cap
 from .errors import (
     DuplicateEdgeError,
     InvalidParameterError,
@@ -231,14 +231,16 @@ def bipartition(g: Graph) -> Bipartition:
     return Bipartition(side_of, not clash)
 
 
-def incidence_rank(g: Graph) -> int:
+def incidence_rank(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
     """Rank over the rationals of the vertex-edge incidence matrix.
 
     Computed by exact fraction-free elimination, never floating point:
     the result equals vertex_count - 1 for connected bipartite graphs and
-    vertex_count otherwise, and that dichotomy must be bit-exact.
+    vertex_count otherwise, and that dichotomy must be bit-exact. The
+    vertex count, the order eliminated, is capped at max_order.
     """
     require_connected(g)
+    require_within_cap(g.vertex_count, max_order)
     matrix = [[0] * g.edge_count for _ in range(g.vertex_count)]
     for col, (u, v) in enumerate(g.edges):
         matrix[u][col] = 1

@@ -13,7 +13,7 @@ Three mutually checking routes:
   factors (eigenvalue d + 1 with multiplicity k - 1), so a blowup, whose
   n - 2 new vertices per edge are twins, eliminates at order q, not N. A
   twin-free graph has q = N and L_w = L. The exact cap bounds q;
-  ``resistance_matrix`` returns all N^2 pairs and stays at order N;
+  ``resistance_matrix`` returns all N^2 pairs, so the same cap bounds N;
 * closed form: one-step blowup recurrences iterated in exact big-integer /
   rational arithmetic, cross-asserted against the single-shot expressions
   in the iteration depth r.
@@ -31,18 +31,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import fraction_inverse, modular_determinant
+from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_within_cap
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import (
     InternalAssertionError,
     InvalidParameterError,
     NumericalFailureError,
-    SizeCapExceededError,
 )
 from .graphs import Graph, require_connected
 from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
-
-DEFAULT_EXACT_CAP = 200
 
 ROUTES = ("spectral", "closed_form", "oracle")
 
@@ -109,18 +106,24 @@ def kf_star_spectral(sigma: SpectrumMultiset, m: int) -> Fraction | float:
     return 2 * m * kemeny_spectral(sigma)
 
 
-def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
-    """Spanning-tree count from the spectrum, accumulated in the log domain.
-
-    Documented accuracy: within 1e-6 relative of the exact count for graphs
-    up to a few hundred vertices.
-    """
+def _log_tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
+    """log tau = -log 2m + sum log d_i + sum m log lambda over nonzero lambda."""
     require_connected(g)
     log_tau = -math.log(2 * g.edge_count)
     log_tau += sum(math.log(d) for d in g.degrees)
     for v, m in _nonzero_entries(sigma):
         log_tau += m * math.log(float(v))
-    return math.exp(log_tau)
+    return log_tau
+
+
+def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
+    """Spanning-tree count from the spectrum, accumulated in the log domain.
+
+    Documented accuracy: within 1e-6 relative of the exact count for graphs
+    up to a few hundred vertices. A count beyond the float range raises
+    OverflowError.
+    """
+    return math.exp(_log_tau_spectral(g, sigma))
 
 
 def _class_laplacian(edges, class_of: np.ndarray, order: int) -> np.ndarray:
@@ -150,8 +153,8 @@ def _twin_laplacian(g: Graph, max_order: int | None = None) -> np.ndarray:
     """
     require_connected(g)
     class_of, size, _ = g._twins
-    if max_order is not None and len(size) > max_order:
-        raise SizeCapExceededError(f"order {len(size)} exceeds exact cap {max_order}")
+    if max_order is not None:
+        require_within_cap(len(size), max_order)
     return _class_laplacian(g.edges, np.array(class_of, dtype=np.intp), len(size))
 
 
@@ -206,13 +209,15 @@ def _kf_star_twins(inverse: np.ndarray, g: Graph) -> Fraction | np.floating:
     return _kf_star_identity(inverse, weights) + inverse.dtype.type(2 * g.edge_count * inside)
 
 
-def resistance_matrix(g: Graph) -> np.ndarray:
+def resistance_matrix(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> np.ndarray:
     """Effective resistances between all vertex pairs.
 
     Uses the pseudoinverse of the combinatorial Laplacian through the
-    rank-one shift (L + J/N)^{-1} - J/N, at order N: every pair is returned.
+    rank-one shift (L + J/N)^{-1} - J/N, at order N: every pair is returned,
+    so N is capped at max_order.
     """
     require_connected(g)
+    require_within_cap(g.vertex_count, max_order)
     pinv = _shifted_inverse(_combinatorial_laplacian(g))
     pinv -= 1.0 / g.vertex_count
     pinv += pinv.T  # numpy reads the overlapping operand as if copied first

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -353,7 +354,8 @@ def spectrum_by_theorem(
     cluster_tol whenever the base's tol is below 1. So the only input the constructor's gap check can reject is
     a non-bipartite base whose largest eigenvalue lies within tol of 2; it
     raises InconsistentSpectrumError. Each level divides the resolution with
-    the values, so depth is bounded only by double underflow.
+    the values, so depth is bounded only by double underflow, which
+    ``spectrum_iterated`` rejects.
     """
     if n < 3:
         raise InvalidParameterError(f"clique size n must be >= 3, got {n}")
@@ -414,16 +416,24 @@ def spectrum_iterated(
     """Apply the spectrum mapping r times, tracking counts level by level.
 
     The bipartite flag matters only at the first level: every blowup puts a
-    triangle through each edge, so deeper levels are never bipartite.
+    triangle through each edge, so deeper levels are never bipartite. A
+    float level whose smallest nonzero value is below the smallest normal
+    double has lost precision to underflow and raises SizeCapExceededError.
     """
     if params.r < 1:
         raise InvalidParameterError("iterated mapping needs r >= 1")
     sigma = sigma_g
     levels = count_sequence(n0, e0, params.n, params.r)
-    for level, (vertices, edges) in enumerate(levels[:-1]):
+    for level, (vertices, edges) in enumerate(levels[:-1], start=1):
         sigma = spectrum_by_theorem(
-            sigma, vertices, edges, params.n, bipartite and level == 0
+            sigma, vertices, edges, params.n, bipartite and level == 1
         )
+        smallest = sigma.entries[1][0]  # entries[0] is the mapped 0
+        if isinstance(smallest, float) and smallest < sys.float_info.min:
+            raise SizeCapExceededError(
+                f"mapped spectrum underflows at level {level}: eigenvalue "
+                f"{smallest:.3g} is below the smallest normal double"
+            )
     return sigma
 
 

@@ -7,22 +7,27 @@ properties (trace, range, bipartite symmetry, incidence rank dichotomy).
 Each corpus graph's spectrum, bipartite flag, exact Kf* and exact tau are
 computed once, by ``base_facts``, and shared by all of its checks, and so is
 each (n, r) level that the closed forms lift from them.
-Graphs and cells that exceed the size caps are skipped, not failed.
+
+The harness makes no size decision of its own. It passes ``max_vertices``
+and ``exact_cap`` on, each routine enforces its own cap (the construction
+and the eigensolve on N, the exact tau and Kf* on the order q of the
+true-twin quotient, the incidence rank and the resistances on N), and
+``_skip_or_fail`` records the SizeCapExceededError of any of them as a skip.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import indexes
-from .blowup import (
-    DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate, clique_blowup
-)
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_counts, blowup_iterate
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
 from .graphs import (
     Graph,
@@ -118,28 +123,46 @@ def _rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
 
+@contextmanager
+def _skip_or_fail(out: list[CheckResult], check: str, subject: str):
+    """Record the package error that stops the block: the one place where a
+    routine's SizeCapExceededError becomes a skip; any other is a failure."""
+    try:
+        yield
+    except SizeCapExceededError as exc:
+        out.append(CheckResult(check, subject, True, f"skipped: {exc}", skipped=True))
+    except CliqueBlowupError as exc:
+        out.append(CheckResult(check, subject, False, f"error: {exc}"))
+
+
 @dataclass(frozen=True)
 class BaseFacts:
-    """Facts of one corpus graph that its checks share; exact ones None over the cap.
+    """Facts of one corpus graph that its checks share, under one exact cap.
 
-    ``levels`` keeps each (n, r) closed-form lift that ``closed_form`` made, so
-    the monotonicity and cell checks lift each level once; it travels with
-    the facts when cells run in worker processes.
+    ``kf_star`` and ``tau`` hold the error that stopped them, if any, which
+    ``exact`` raises. ``levels`` keeps each (n, r) lift of ``closed_form``, so
+    each level is lifted once; it travels with the facts to worker processes.
     """
 
     spectrum: SpectrumMultiset
     bipartite: bool
-    kf_star: Fraction | None
-    tau: int | None
+    kf_star: Fraction | CliqueBlowupError
+    tau: int | CliqueBlowupError
+    exact_cap: int = indexes.DEFAULT_EXACT_CAP
     levels: dict[tuple[int, int], tuple[Fraction, Fraction, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def exact(self) -> tuple[Fraction, int]:
+        if isinstance(self.tau, CliqueBlowupError):
+            raise self.tau
+        return self.kf_star, self.tau
 
     def closed_form(self, g: Graph, n: int, r: int) -> tuple[Fraction, Fraction, int]:
         """Exact (Kf*, Kemeny, tau) of the (n, r) blowup of g, lifted once."""
         if (n, r) not in self.levels:
             self.levels[n, r] = indexes._closed_form_lift(
-                self.kf_star, self.tau, g.vertex_count, g.edge_count, BlowupParams(n, r)
+                *self.exact(), g.vertex_count, g.edge_count, BlowupParams(n, r)
             )
         return self.levels[n, r]
 
@@ -152,24 +175,29 @@ def base_facts(
     """Numeric spectrum, bipartite flag, exact Kf* and exact tau of g."""
     spectrum = laplacian_spectrum(g, max_order=max_vertices)
     bipartite = bipartition(g).is_bipartite
-    if g.vertex_count > exact_cap:
-        return BaseFacts(spectrum, bipartite, None, None)
-    kf_star = indexes.kf_star_exact(g, max_order=exact_cap)
-    tau = indexes.tau_exact(g, max_order=exact_cap)
-    return BaseFacts(spectrum, bipartite, kf_star, tau)
+    try:
+        kf_star = indexes.kf_star_exact(g, max_order=exact_cap)
+        tau = indexes.tau_exact(g, max_order=exact_cap)
+    except CliqueBlowupError as exc:
+        kf_star = tau = exc
+    return BaseFacts(spectrum, bipartite, kf_star, tau, exact_cap)
 
 
 def _oracle_checks(
     add, prefix: str, g: Graph, sigma, kf_direct: float, kemeny: Fraction, tau: int
 ):
-    """Spectral Kf*, Kemeny and tau of g against oracles and exact values."""
+    """Spectral Kf*, Kemeny and tau of g against oracles and exact values.
+
+    tau is compared by its logarithm, which holds a count beyond the float
+    range; a difference of logs is the relative error to first order.
+    """
     ke_s = indexes.kemeny_spectral(sigma)
     kf_s = 2 * g.edge_count * ke_s  # kf_star_spectral, without a second sum
-    tau_s = indexes.tau_spectral(g, sigma)
+    log_tau_s, log_tau = indexes._log_tau_spectral(g, sigma), math.log(tau)
     kf_ok = _rel_close(kf_s, kf_direct, ORACLE_KF_RTOL)
     add(prefix + "kf-oracle", kf_ok, f"{kf_s} vs {kf_direct}")
-    tau_ok = abs(tau_s - tau) <= ORACLE_TAU_RTOL * tau
-    add(prefix + "tau-oracle", tau_ok, f"{tau_s} vs {tau}")
+    tau_ok = abs(log_tau_s - log_tau) <= ORACLE_TAU_RTOL
+    add(prefix + "tau-oracle", tau_ok, f"log {log_tau_s} vs {log_tau}")
     ke_ok = _rel_close(ke_s, float(kemeny), ORACLE_KF_RTOL)
     add(prefix + "kemeny-oracle", ke_ok, f"{ke_s} vs {float(kemeny)}")
 
@@ -180,16 +208,14 @@ def graph_checks(
     """Structural and oracle-closure checks on a single corpus graph."""
     out: list[CheckResult] = []
 
-    def add(check: str, passed: bool, detail: str = "", skipped: bool = False):
-        out.append(CheckResult(check, name, passed, detail, skipped))
+    def add(check: str, passed: bool, detail: str = ""):
+        out.append(CheckResult(check, name, passed, detail))
 
     add("degree-sum", sum(g.degrees) == 2 * g.edge_count)
     add("serialize-roundtrip", parse_edge_list(serialize_edge_list(g)) == g)
 
-    if base.tau is None:
-        add("incidence-rank", True, "skipped: over exact cap", skipped=True)
-    else:
-        rank = incidence_rank(g)
+    with _skip_or_fail(out, "incidence-rank", name):
+        rank = incidence_rank(g, max_order=base.exact_cap)
         expected_rank = g.vertex_count - (1 if base.bipartite else 0)
         add("incidence-rank", rank == expected_rank, f"rank {rank} vs {expected_rank}")
 
@@ -217,11 +243,13 @@ def graph_checks(
         slack = g.vertex_count * sys.float_info.epsilon * 2.0
         add("lambda-max-below-two", max(flat) < 2.0 - slack, f"max {max(flat)}")
 
-    if base.tau is not None:
-        kemeny = base.kf_star / (2 * g.edge_count)
-        _oracle_checks(add, "", g, sigma, indexes.kf_star_direct(g), kemeny, base.tau)
+    with _skip_or_fail(out, "oracle-closure", name):
+        kf_star, tau = base.exact()
+        kemeny = kf_star / (2 * g.edge_count)
+        _oracle_checks(add, "", g, sigma, indexes.kf_star_direct(g), kemeny, tau)
+    with _skip_or_fail(out, "resistance-metric", name):
         # shortest detour through one middle vertex k at a time: O(N^2) memory
-        res = indexes.resistance_matrix(g)
+        res = indexes.resistance_matrix(g, max_order=base.exact_cap)
         detours = np.full_like(res, np.inf)
         for k in range(len(res)):
             np.minimum(detours, res[:, k, None] + res[None, k, :], out=detours)
@@ -234,7 +262,7 @@ def monotonicity_checks(
 ) -> list[CheckResult]:
     """Kf*, Kemeny, tau strictly increase with the iteration depth."""
     out: list[CheckResult] = []
-    if base.kf_star is None or r_max < 1:
+    if r_max < 1:
         return out
     for n in n_list:
         levels = [base.closed_form(g, n, r) for r in range(r_max + 1)]
@@ -248,7 +276,7 @@ def monotonicity_checks(
 def cell_checks(
     name: str,
     g: Graph,
-    base: BaseFacts | CliqueBlowupError,
+    base: BaseFacts | None,
     n: int,
     r: int,
     tol: float = DEFAULT_MATCH_TOL,
@@ -259,50 +287,46 @@ def cell_checks(
     subject = f"{name} n={n},r={r}"
     out: list[CheckResult] = []
 
-    def add(check: str, passed: bool, detail: str = "", skipped: bool = False):
-        out.append(CheckResult(check, subject, passed, detail, skipped))
+    def add(check: str, passed: bool, detail: str = ""):
+        out.append(CheckResult(check, subject, passed, detail))
 
-    params = BlowupParams(n, r)
-    n0, e0 = g.vertex_count, g.edge_count
-    counts = blowup_counts(n0, e0, params)
-    if counts.vertices > max_vertices:
-        add("cell", True, f"skipped: {counts.vertices} vertices over cap", skipped=True)
-        return out
-    if isinstance(base, CliqueBlowupError):  # the graph's own facts failed
-        raise base
-
-    prev = blowup_iterate(g, BlowupParams(n, r - 1), max_vertices=max_vertices)
-    blown = clique_blowup(prev, n)
-    add(
-        "blowup-counts",
-        (blown.vertex_count, blown.edge_count) == (counts.vertices, counts.edges),
-        f"{blown.vertex_count},{blown.edge_count} vs {counts.vertices},{counts.edges}",
-    )
-    add("blowup-nonbipartite", not bipartition(blown).is_bipartite)
-    # one-step degree contract, checked between the last two levels
-    degree_ok = all(
-        blown.degrees[i] == (n - 1) * prev.degrees[i] for i in range(prev.vertex_count)
-    ) and all(d == n - 1 for d in blown.degrees[prev.vertex_count :])
-    add("blowup-degrees", degree_ok)
-
-    themed = spectrum_iterated(base.spectrum, n0, e0, params, base.bipartite)
-    numeric = laplacian_spectrum(blown)
-    report = multiset_match(themed, numeric, tol)
-    add("spectrum-equivalence", report.matched, report.detail)
-
-    if r == 1:
-        # off the two new clusters, (n - 1) * v is an eigenvalue of the base
-        low, high = 2.0 / (n - 1), float(n) / (n - 1)
-        base_flat = base.spectrum.flatten()
-        scaling_ok = all(
-            abs(v - low) <= numeric.cluster_tol
-            or abs(v - high) <= numeric.cluster_tol
-            or any(_rel_close((n - 1) * v, lam, tol) for lam in base_flat)
-            for v in (float(v) for v, _ in numeric.entries)
+    with _skip_or_fail(out, "cell", subject):
+        prev = blowup_iterate(g, BlowupParams(n, r - 1), max_vertices=max_vertices)
+        blown = blowup_iterate(prev, BlowupParams(n), max_vertices=max_vertices)
+        if base is None:  # after the vertex cap, which skips the cell first
+            raise CliqueBlowupError("the graph's own facts failed")
+        params = BlowupParams(n, r)
+        n0, e0 = g.vertex_count, g.edge_count
+        counts = blowup_counts(n0, e0, params)
+        add(
+            "blowup-counts",
+            (blown.vertex_count, blown.edge_count) == (counts.vertices, counts.edges),
+            f"{blown.vertex_count},{blown.edge_count} vs {counts.vertices},{counts.edges}",
         )
-        add("one-step-scaling", scaling_ok)
+        add("blowup-nonbipartite", not bipartition(blown).is_bipartite)
+        # one-step degree contract, checked between the last two levels
+        degree_ok = all(
+            blown.degrees[i] == (n - 1) * prev.degrees[i] for i in range(prev.vertex_count)
+        ) and all(d == n - 1 for d in blown.degrees[prev.vertex_count :])
+        add("blowup-degrees", degree_ok)
 
-    if base.kf_star is not None:
+        themed = spectrum_iterated(base.spectrum, n0, e0, params, base.bipartite)
+        numeric = laplacian_spectrum(blown, max_order=max_vertices)
+        report = multiset_match(themed, numeric, tol)
+        add("spectrum-equivalence", report.matched, report.detail)
+
+        if r == 1:
+            # off the two new clusters, (n - 1) * v is an eigenvalue of the base
+            low, high = 2.0 / (n - 1), float(n) / (n - 1)
+            base_flat = base.spectrum.flatten()
+            scaling_ok = all(
+                abs(v - low) <= numeric.cluster_tol
+                or abs(v - high) <= numeric.cluster_tol
+                or any(_rel_close((n - 1) * v, lam, tol) for lam in base_flat)
+                for v in (float(v) for v, _ in numeric.entries)
+            )
+            add("one-step-scaling", scaling_ok)
+
         kf_closed, ke_closed, tau_closed = base.closed_form(g, n, r)
         add(
             "closed-kf-kemeny-identity",
@@ -315,24 +339,16 @@ def cell_checks(
             _rel_close(float(kf_closed), kf_direct, ORACLE_KF_RTOL),
             f"{float(kf_closed)} vs {kf_direct}",
         )
-        if blown.vertex_count <= exact_cap:
-            tau_direct = indexes.tau_exact(blown, max_order=exact_cap)
-            tau_ok = tau_closed == tau_direct
-            add("closed-vs-oracle-tau", tau_ok, f"{tau_closed} vs {tau_direct}")
-            _oracle_checks(
-                add, "blowup-", blown, numeric, kf_direct, ke_closed, tau_direct
-            )
-        else:
-            add("closed-vs-oracle-tau", True, "skipped: over exact cap", skipped=True)
+        tau_direct = indexes.tau_exact(blown, max_order=exact_cap)
+        # logs in the detail: an int beyond 4300 digits has no decimal str
+        logs = f"log {math.log(tau_closed)} vs {math.log(tau_direct)}"
+        add("closed-vs-oracle-tau", tau_closed == tau_direct, logs)
+        _oracle_checks(add, "blowup-", blown, numeric, kf_direct, ke_closed, tau_direct)
     return out
 
 
 def _run_cell(task) -> list[CheckResult]:
-    name, g, base, n, r, tol, max_vertices, exact_cap = task
-    try:
-        return cell_checks(name, g, base, n, r, tol, max_vertices, exact_cap)
-    except CliqueBlowupError as exc:
-        return [CheckResult("cell", f"{name} n={n},r={r}", False, f"error: {exc}")]
+    return cell_checks(*task)
 
 
 def run_verification(
@@ -349,29 +365,15 @@ def run_verification(
         raise InvalidParameterError("verify needs every n >= 3 and every r >= 1")
     results: list[CheckResult] = []
     r_max = max(r_list, default=0)
-    bases = []
+    tasks = []
     for name, g in corpus:
         base = None
-        try:
+        with _skip_or_fail(results, "structural", name):
             base = base_facts(g, exact_cap, max_vertices)
             results.extend(graph_checks(name, g, base, tol))
             results.extend(monotonicity_checks(name, g, base, n_list, r_max))
-        except CliqueBlowupError as exc:
-            # a base over the vertex cap is skipped; its cells are larger still
-            over_cap = base is None and isinstance(exc, SizeCapExceededError)
-            status = "skipped" if over_cap else "error"
-            results.append(
-                CheckResult("structural", name, over_cap, f"{status}: {exc}", over_cap)
-            )
-            if base is None:
-                base = exc
-        bases.append(base)
-    tasks = [
-        (name, g, base, n, r, tol, max_vertices, exact_cap)
-        for (name, g), base in zip(corpus, bases)
-        for n in n_list
-        for r in r_list
-    ]
+        tasks += [(name, g, base, n, r, tol, max_vertices, exact_cap)
+                  for n in n_list for r in r_list]
     # every worker forks at once, so never ask for more than can run
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

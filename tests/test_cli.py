@@ -190,6 +190,24 @@ class TestSpectra:
             "[0.40000000000000002,122042405],[1.2,561395095]]}\n"
         )
 
+    @pytest.mark.parametrize(
+        "r, code, message",
+        [
+            (439, 0, ""),
+            (440, 3, "error: mapped spectrum underflows at level 440: eigenvalue "
+             "1.89e-308 is below the smallest normal double\n"),
+        ],
+    )
+    def test_theorem_method_rejects_an_underflowing_level(self, capsys, r, code, message):
+        # the smallest mapped value, 1.89e-308 at r = 440, is below 2.2e-308
+        result, out, err = run(
+            capsys,
+            "spectra", "--input", "petersen", "--n", "6", "--r", str(r),
+            "--method", "theorem", "--format", "json",
+        )
+        assert (result, err) == (code, message)
+        assert out.startswith('{"order":') == (code == 0)
+
     def test_large_blowup_both_methods(self, capsys):
         # the spectra_large benchmark command, in-process
         code, out, _ = run(
@@ -448,6 +466,40 @@ class TestVerify:
             "RESULT: PASS (66 checks, 0 failures, 0 skipped)\n"
         )
 
+    def test_default_grid_output_is_pinned(self, capsys):
+        # complete:4 n=5,r=2 (q = 82) and petersen n=4,r=2 (q = 130) are within
+        # the exact cap; only petersen n=5,r=2 (q = 205) skips its exact tau
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        ok_row = "ok          ok       ok       ok       ok       ok       ok     "
+        names = ["complete:2", "path:3", "path:4", "cycle:4", "cycle:5",
+                 "complete:3", "complete:4", "star:5", "petersen"]
+        assert out == (
+            "graph       structural  n=3,r=1  n=3,r=2  n=4,r=1  n=4,r=2  n=5,r=1  n=5,r=2\n"
+            + "".join(f"{name:<12}{ok_row}\n" for name in names)
+            + "RESULT: PASS (686 checks, 0 failures, 1 skipped)\n"
+        )
+
+    def test_exact_cap_bounds_the_twin_quotient(self, capsys):
+        # N = 70 is over the cap, but the 15 cliques of 4 twins leave q = 25
+        code, out, _ = run(
+            capsys,
+            "verify", "--corpus", "petersen", "--n-list", "6", "--r-list", "1",
+            "--exact-cap", "50",
+        )
+        assert code == 0
+        assert out.endswith("RESULT: PASS (22 checks, 0 failures, 0 skipped)\n")
+
+    def test_tau_beyond_float_range_is_checked_by_its_log(self, capsys):
+        # q = 205 is within the cap, and log10 tau = 308.7 is beyond a double
+        code, out, err = run(
+            capsys,
+            "verify", "--corpus", "petersen", "--n-list", "5", "--r-list", "2",
+            "--exact-cap", "600",
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("RESULT: PASS (21 checks, 0 failures, 0 skipped)\n")
+
     def test_failing_graph_fails_its_cells(self, capsys):
         # path:1 has an isolated vertex: its structural checks and its one
         # cell each fail once, and path:3 still runs
@@ -522,6 +574,13 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == "error: out of memory\n"
+
+    def test_console_script_entry_point_exits_with_the_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["clique-blowup", "verify", "--corpus", "complete:2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == 0
+        assert "RESULT: PASS" in capsys.readouterr().out
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run(

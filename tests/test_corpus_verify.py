@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clique_blowup import (
     BlowupParams,
@@ -15,11 +17,14 @@ from clique_blowup import (
     gen_family,
     graph_from_spec,
     petersen,
-    blowup_counts,
+    blowup_iterate,
+    laplacian_spectrum,
     run_verification,
 )
-from clique_blowup import indexes, verify
+from clique_blowup import graphs, indexes, verify
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
+
+from conftest import graphs_with_twins, record_orders
 
 
 class TestCorpus:
@@ -78,17 +83,15 @@ class TestHarness:
             monkeypatch.setattr(indexes, attr, counted(attr))
         corpus = [("complete:3", gen_family("complete", 3)),
                   ("cycle:4", gen_family("cycle", 4))]
-        exact_cap = 10  # the r = 2 blowups (15 and 20 vertices) are over it
-        report = run_verification(corpus, [3], [1, 2], exact_cap=exact_cap)
+        # the twin-free r = 2 blowups (q = N = 15 and 20) are over the cap
+        report = run_verification(corpus, [3], [1, 2], exact_cap=10)
         assert report.passed
-        cells_within_cap = sum(
-            blowup_counts(g.vertex_count, g.edge_count, BlowupParams(3, r)).vertices
-            <= exact_cap
-            for _, g in corpus
-            for r in (1, 2)
-        )
-        assert cells_within_cap == 2
-        assert calls == {"kf_star_exact": 2, "tau_exact": 2 + cells_within_cap}
+        assert sorted(r.subject for r in report.skipped) == [
+            "complete:3 n=3,r=2", "cycle:4 n=3,r=2"
+        ]
+        # once per graph, and tau once per cell, where its own cap may raise
+        cells = len(corpus) * 2
+        assert calls == {"kf_star_exact": len(corpus), "tau_exact": len(corpus) + cells}
 
     def test_closed_form_levels_lifted_once_per_graph(self, monkeypatch):
         lifts = []
@@ -120,7 +123,9 @@ class TestHarness:
     def test_resistance_triangle_violation_fails(self, monkeypatch):
         # d(0, 2) = 5 exceeds the detour d(0, 1) + d(1, 2) = 2
         broken = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        monkeypatch.setattr(indexes, "resistance_matrix", lambda g: broken.copy())
+        monkeypatch.setattr(
+            indexes, "resistance_matrix", lambda g, max_order: broken.copy()
+        )
         g = gen_family("path", 3)
         results = graph_checks("path:3", g, base_facts(g))
         assert "resistance-metric" in {r.check for r in results if not r.passed}
@@ -142,16 +147,25 @@ class TestHarness:
         results = cell_checks("complete:3", g, base_facts(g), 3, 1)
         assert "blowup-kemeny-oracle" in {r.check for r in results if not r.passed}
 
-    def test_incidence_rank_skipped_over_exact_cap(self, monkeypatch):
-        def not_called(g):
-            raise AssertionError("incidence_rank called over the exact cap")
+    def test_exact_tau_beyond_4300_digits_fails_without_raising(self, monkeypatch):
+        # Python refuses a decimal str of an int with more than 4300 digits
+        g = gen_family("complete", 3)
+        base = base_facts(g)
+        monkeypatch.setattr(indexes, "tau_exact", lambda g, max_order: 10**5000)
+        results = cell_checks("complete:3", g, base, 3, 1)
+        failed = {r.check for r in results if not r.passed}
+        assert failed == {"closed-vs-oracle-tau", "blowup-tau-oracle"}
 
-        monkeypatch.setattr(verify, "incidence_rank", not_called)
+    def test_incidence_rank_skipped_over_exact_cap(self, monkeypatch):
+        def not_called(matrix):
+            raise AssertionError("incidence matrix eliminated over the exact cap")
+
+        monkeypatch.setattr(graphs, "integer_rank", not_called)
         g = petersen()
         results = graph_checks("petersen", g, base_facts(g, exact_cap=5))
         rank = [r for r in results if r.check == "incidence-rank"]
         assert len(rank) == 1 and rank[0].skipped and rank[0].passed
-        assert rank[0].detail == "skipped: over exact cap"
+        assert rank[0].detail == "skipped: order 10 exceeds exact cap 5"
 
     def test_long_odd_cycle_passes_graph_checks(self):
         # 2 - lambda_max is 9.99e-7 here, so a fixed gap of 1e-6 would fail it
@@ -231,3 +245,59 @@ class TestHarness:
         report = run_verification([("complete:3", gen_family("complete", 3))], [3], [1])
         assert not report.passed
         assert any("single-shot Kf" in r.detail for r in report.failures)
+
+
+class TestSingleCap:
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_with_twins(), st.data())
+    def test_cap_between_q_and_n_runs_the_exact_checks(self, g, data):
+        q = len(g._twins[1])
+        assume(q < g.vertex_count)
+        cap = data.draw(st.integers(q, g.vertex_count - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            det_orders = record_orders(mp, indexes, "modular_determinant")
+            inv_orders = record_orders(mp, indexes, "fraction_inverse")
+            report = run_verification([("g", g)], [3], [1], exact_cap=cap)
+        assert report.passed
+        ran = {r.check for r in report.results if r.subject in ("g", "g n=3")}
+        skipped = {r.check for r in report.skipped if r.subject == "g"}
+        assert {"kf-oracle", "tau-oracle", "kemeny-oracle", "index-monotonicity"} <= ran
+        # the incidence rank and the resistances work at order N, over the cap
+        assert skipped == {"incidence-rank", "resistance-metric"}
+        assert det_orders and inv_orders
+        assert max(det_orders + inv_orders) <= cap
+
+    def test_over_cap_base_keeps_its_exact_facts(self):
+        # N = 300 is over the default cap, but its one twin class leaves q = 1
+        g = graph_from_spec("complete:300")
+        report = run_verification([("complete:300", g)], [3], [1])
+        assert report.passed
+        assert {(r.check, r.detail) for r in report.skipped} == {
+            ("incidence-rank", "skipped: order 300 exceeds exact cap 200"),
+            ("resistance-metric", "skipped: order 300 exceeds exact cap 200"),
+            ("cell", "skipped: blowup would create 45150 vertices (cap 20000)"),
+        }
+        ran = {r.check for r in report.results if not r.skipped}
+        assert {"kf-oracle", "tau-oracle", "kemeny-oracle", "index-monotonicity"} <= ran
+
+    def test_tau_beyond_float_range_passes_its_oracle(self):
+        # log10 tau = 308.7 at q = 205: the spectral tau is compared by its log
+        report = run_verification([("petersen", petersen())], [5], [2], exact_cap=205)
+        assert report.passed and not report.skipped
+        tau = [r for r in report.results if r.check == "blowup-tau-oracle"]
+        assert len(tau) == 1 and tau[0].passed
+        blown = blowup_iterate(petersen(), BlowupParams(5, 2))
+        with pytest.raises(OverflowError):
+            indexes.tau_spectral(blown, laplacian_spectrum(blown))
+
+    def test_base_over_exact_cap_skips_its_exact_checks(self):
+        # petersen is twin-free, so q = N = 10 is over a cap of 9
+        report = run_verification([("petersen", petersen())], [3], [1], exact_cap=9)
+        assert report.passed
+        assert {(r.check, r.subject) for r in report.skipped} == {
+            ("incidence-rank", "petersen"),
+            ("oracle-closure", "petersen"),
+            ("resistance-metric", "petersen"),
+            ("structural", "petersen"),
+            ("cell", "petersen n=3,r=1"),
+        }

@@ -14,11 +14,13 @@ from clique_blowup import (
     NotConnectedError,
     ParseError,
     SelfLoopError,
+    SizeCapExceededError,
     bipartition,
     gen_family,
     incidence_rank,
     is_connected,
     parse_edge_list,
+    petersen,
     serialize_edge_list,
 )
 from clique_blowup.cli import main
@@ -298,6 +300,16 @@ class TestIncidenceRank:
     def test_requires_connected(self):
         with pytest.raises(NotConnectedError):
             incidence_rank(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_cap_on_the_vertex_count(self, monkeypatch):
+        assert incidence_rank(petersen(), max_order=10) == 10
+
+        def not_called(matrix):
+            raise AssertionError("incidence matrix eliminated over the cap")
+
+        monkeypatch.setattr(graphs_module, "integer_rank", not_called)
+        with pytest.raises(SizeCapExceededError, match="^order 10 exceeds exact cap 9$"):
+            incidence_rank(petersen(), max_order=9)
 
     @given(connected_graphs())
     def test_dichotomy(self, g):

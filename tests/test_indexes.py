@@ -124,6 +124,17 @@ class TestResistance:
             np.fill_diagonal(expected, 0.0)
             assert resistance_matrix(g).tobytes() == expected.tobytes()
 
+    def test_cap_on_the_vertex_count(self, monkeypatch):
+        assert resistance_matrix(petersen(), max_order=10).shape == (10, 10)
+
+        def not_called(*args):
+            raise AssertionError("Laplacian built or inverted over the cap")
+
+        monkeypatch.setattr(indexes, "_combinatorial_laplacian", not_called)
+        monkeypatch.setattr(indexes, "_shifted_inverse", not_called)
+        with pytest.raises(SizeCapExceededError, match="^order 10 exceeds exact cap 9$"):
+            resistance_matrix(petersen(), max_order=9)
+
     def test_indefinite_shifted_laplacian_raises(self, monkeypatch):
         # L + J/N = [[0.5, -4.5], [-4.5, 0.5]] has no Cholesky factor
         monkeypatch.setattr(

@@ -380,6 +380,18 @@ class TestIteratedMapping:
         with pytest.raises(InvalidParameterError):
             spectrum_iterated(SIGMA_K3, 3, 3, BlowupParams(5, 0), bipartite=False)
 
+    def test_float_level_below_the_normal_range_raises(self):
+        # 1.5 / 999^103 = 1.66e-309 is subnormal; the exact value is not rounded
+        params = BlowupParams(1000, 103)
+        exact = spectrum_iterated(SIGMA_K3, 3, 3, params, bipartite=False)
+        assert exact.entries[1][0] == Fraction(3, 2) / 999**103
+        numeric = SpectrumMultiset(((0.0, 1), (1.5, 2)))
+        message = "underflows at level 103: eigenvalue 1.66e-309"
+        with pytest.raises(SizeCapExceededError, match=message):
+            spectrum_iterated(numeric, 3, 3, params, bipartite=False)
+        level_102 = spectrum_iterated(numeric, 3, 3, BlowupParams(1000, 102), bipartite=False)
+        assert level_102.entries[1][0] == pytest.approx(1.5 / 999**102)
+
 
 def reference_spectrum_by_theorem(sigma_g, n0, e0, n, bipartite):
     """Reference mapping: cluster at the input's cluster_tol, reject any merge.
