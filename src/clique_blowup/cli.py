@@ -41,11 +41,14 @@ def _default_max_vertices() -> int:
     if raw is None:
         return DEFAULT_MAX_VERTICES
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InvalidParameterError(
             f"{ENV_MAX_VERTICES} must be an integer, got {raw!r}"
         ) from None
+    if value < 0:
+        raise InvalidParameterError(f"{ENV_MAX_VERTICES} must be >= 0, got {value}")
+    return value
 
 
 def _load_graph(source: str) -> Graph:
@@ -238,6 +241,21 @@ def _tolerance(raw: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer option: a value below low is a usage error (exit 2)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_int_list(raw: str, label: str) -> list[int]:
     try:
         values = [int(item) for item in raw.split(",") if item.strip()]
@@ -262,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path, default stdout")
         p.add_argument(
             "--max-vertices",
-            type=int,
+            type=_int_at_least(0),
             default=None,
             help=f"size cap (default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES})",
         )
@@ -295,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--route", choices=(*indexes.ROUTES, "all"), default="all")
     p_idx.add_argument("--format", choices=("table", "json"), default="table")
     p_idx.add_argument("--output", default=None)
-    p_idx.add_argument("--max-vertices", type=int, default=None)
+    p_idx.add_argument("--max-vertices", type=_int_at_least(0), default=None)
     p_idx.add_argument(
         "--exact-cap",
-        type=int,
+        type=_int_at_least(0),
         default=indexes.DEFAULT_EXACT_CAP,
         help="largest order q of the true-twin quotient that exact tau and Kf* "
         f"eliminate (default {indexes.DEFAULT_EXACT_CAP})",
@@ -313,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-list", default="3,4,5")
     p_ver.add_argument("--r-list", default="1,2")
     p_ver.add_argument("--tol", type=_tolerance, default=DEFAULT_MATCH_TOL)
-    p_ver.add_argument("--jobs", type=int, default=1)
-    p_ver.add_argument("--max-vertices", type=int, default=None)
+    p_ver.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_ver.add_argument("--max-vertices", type=_int_at_least(0), default=None)
     p_ver.add_argument(
         "--exact-cap",
-        type=int,
+        type=_int_at_least(0),
         default=indexes.DEFAULT_EXACT_CAP,
         help="largest order each capped routine eliminates: q of the true-twin "
         "quotient for exact tau and Kf*, N for the incidence rank and the "

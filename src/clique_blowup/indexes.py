@@ -14,9 +14,9 @@ Three mutually checking routes:
   n - 2 new vertices per edge are twins, eliminates at order q, not N. A
   twin-free graph has q = N and L_w = L. The exact cap bounds q;
   ``resistance_matrix`` returns all N^2 pairs, so the same cap bounds N;
-* closed form: one-step blowup recurrences iterated in exact big-integer /
-  rational arithmetic, cross-asserted against the single-shot expressions
-  in the iteration depth r.
+* closed form: one-step blowup recurrences iterated in exact rational
+  arithmetic, tau as its exponents of 2 and n, cross-asserted against the
+  single-shot expressions at every depth up to r.
 
 A disagreement between an iterated recurrence and its single-shot r-level
 expression raises InternalAssertionError. ``compute`` runs one route on the
@@ -318,18 +318,19 @@ def _kemeny_r_level(ke0: Fraction, n0: int, e0: int, n: int, r: int) -> Fraction
     return a + b + (c1 + c2 + c3) * e0
 
 
-def _tau_one_step(tau: int, vertices: int, edges: int, n: int) -> int:
+def _tau_one_step(exps: tuple[int, int], vertices: int, edges: int, n: int) -> tuple[int, int]:
+    """Add one step's exponents of tau' = 2^(E-N+1) * n^((n-3)E+N-1) * tau."""
     exp2 = edges - vertices + 1
     expn = (n - 3) * edges + vertices - 1
     if exp2 < 0 or expn < 0:
         raise InternalAssertionError(
             f"negative exponent in one-step form (N={vertices}, E={edges})"
         )
-    return tau * 2**exp2 * n**expn
+    return exps[0] + exp2, exps[1] + expn
 
 
-def _tau_r_level(tau0: int, n0: int, e0: int, n: int, r: int) -> int:
-    """Single-shot 2^a * n^b * tau0 after r steps; a and b must be integers."""
+def _tau_r_level(exps0: tuple[int, int], n0: int, e0: int, n: int, r: int) -> tuple[int, int]:
+    """Single-shot exponents (a, b) of 2^a * n^b after r steps; both must be integers."""
     alpha = Fraction(Fraction(n * (n - 1), 2) ** r - 1, n * n - n - 2)
     drift = Fraction(2 * e0, n + 1) * (2 * alpha - r)
     exp2_total = 2 * e0 * alpha - r * n0 - drift + r
@@ -338,25 +339,29 @@ def _tau_r_level(tau0: int, n0: int, e0: int, n: int, r: int) -> int:
         raise InternalAssertionError(
             f"single-shot exponents are not integers: {exp2_total}, {expn_total}"
         )
-    return 2 ** int(exp2_total) * n ** int(expn_total) * tau0
+    return exps0[0] + int(exp2_total), exps0[1] + int(expn_total)
 
 
-def _lift(label, one_step, r_level, x0, n0, e0, params: BlowupParams):
-    """Iterate one_step over the blowup levels and check the single-shot r_level.
+def _tau_count(tau0: int, n: int, exps: tuple[int, int]) -> int:
+    """The tree count 2^a * n^b * tau0 of a level whose exponents are (a, b)."""
+    return 2 ** exps[0] * n ** exps[1] * tau0
 
-    x0 has the type the steps work in: a Fraction for Kf* and Kemeny, an int
-    for tau.
+
+def _lift(label, one_step, r_level, x0, n0, e0, n: int, r: int) -> list:
+    """Values at levels 0..r of one_step iterated, each level k >= 1 checked against r_level at k.
+
+    x0 has the type the steps work in: a Fraction for Kf* and Kemeny, the
+    exponent pair (a, b) of 2^a * n^b for tau.
     """
-    value = x0
-    for vertices, edges in count_sequence(n0, e0, params.n, params.r)[:-1]:
-        value = one_step(value, vertices, edges, params.n)
-    if params.r >= 1:
-        single_shot = r_level(x0, n0, e0, params.n, params.r)
-        if single_shot != value:
+    values = [x0]
+    for level, (vertices, edges) in enumerate(count_sequence(n0, e0, n, r)[:-1], start=1):
+        values.append(one_step(values[-1], vertices, edges, n))
+        single_shot = r_level(x0, n0, e0, n, level)
+        if single_shot != values[-1]:
             raise InternalAssertionError(
-                f"single-shot {label} {single_shot} disagrees with iterated {value}"
+                f"single-shot {label} {single_shot} disagrees with iterated {values[-1]}"
             )
-    return value
+    return values
 
 
 def kf_star_blowup_closed(
@@ -365,11 +370,11 @@ def kf_star_blowup_closed(
     """Exact Kf* of the r-fold blowup from the base value.
 
     Iterates Kf' = n(n-1)^2/2 Kf + 3(n-1)^2(n-2)/2 E^2 - (n-1)^2(n-2)/2 E N
-    and checks the single-shot r-level expression agrees.
+    and checks the single-shot r-level expression agrees at every level.
     """
     if kf < 0:
         raise InvalidParameterError("Kf* must be non-negative")
-    return _lift("Kf*", _kf_one_step, _kf_r_level, Fraction(kf), n0, e0, params)
+    return _lift("Kf*", _kf_one_step, _kf_r_level, Fraction(kf), n0, e0, params.n, params.r)[-1]
 
 
 def kemeny_blowup_closed(
@@ -378,41 +383,43 @@ def kemeny_blowup_closed(
     """Exact Kemeny constant of the r-fold blowup from the base value.
 
     Iterates Ke' = (n-1)Ke + 3(n-1)(n-2)E/(2n) - (n-1)(n-2)N/(2n) and
-    checks the single-shot r-level expression agrees.
+    checks the single-shot r-level expression agrees at every level.
     """
     if ke < 0:
         raise InvalidParameterError("Kemeny constant must be non-negative")
     return _lift(
-        "Kemeny", _kemeny_one_step, _kemeny_r_level, Fraction(ke), n0, e0, params
-    )
+        "Kemeny", _kemeny_one_step, _kemeny_r_level, Fraction(ke), n0, e0, params.n, params.r
+    )[-1]
 
 
 def tau_blowup_closed(tau: int, n0: int, e0: int, params: BlowupParams) -> int:
     """Exact spanning-tree count of the r-fold blowup from the base count.
 
-    Iterates tau' = 2^(E-N+1) * n^((n-3)E+N-1) * tau and cross-checks the
-    single-shot form 2^a * n^b * tau whose exponents come from the
-    geometric-series constant alpha = ((n(n-1)/2)^r - 1)/(n^2-n-2); both
-    exponents must be integers and both routes must agree exactly.
+    Sums the one-step exponents of tau' = 2^(E-N+1) * n^((n-3)E+N-1) * tau
+    and checks, at every level, the single-shot exponents a, b of 2^a * n^b
+    from the geometric-series constant alpha = ((n(n-1)/2)^r - 1)/(n^2-n-2):
+    both must be integers and agree exactly. The count is formed once.
     """
     if tau < 1:
         raise InvalidParameterError("spanning-tree count must be >= 1")
-    return _lift("tree count", _tau_one_step, _tau_r_level, tau, n0, e0, params)
+    exps = _lift("tree count", _tau_one_step, _tau_r_level, (0, 0), n0, e0, params.n, params.r)
+    return _tau_count(tau, params.n, exps[-1])
 
 
 def _closed_form_lift(
-    kf0: Fraction | int, tau0: int, n0: int, e0: int, params: BlowupParams
-) -> tuple[Fraction, Fraction, int]:
-    """Exact (Kf*, Kemeny, tau) of the r-fold blowup from exact base values.
+    kf0: Fraction | int, n0: int, e0: int, n: int, r: int
+) -> list[tuple[Fraction, Fraction, tuple[int, int]]]:
+    """Exact (Kf*, Kemeny, tau exponents) of the n-blowups at levels 0..r, each chain lifted once.
 
-    The base Kemeny constant is Kf*/(2E); depth r = 0 returns the base values.
+    The base Kemeny constant is Kf*/(2E). Level k holds the exponents (a, b)
+    of tau_k = 2^a * n^b * tau_0; ``_tau_count`` forms the count.
     """
-    ke0 = Fraction(kf0) / (2 * e0)
-    return (
-        kf_star_blowup_closed(kf0, n0, e0, params),
-        kemeny_blowup_closed(ke0, n0, e0, params),
-        tau_blowup_closed(tau0, n0, e0, params),
-    )
+    kf0 = Fraction(kf0)
+    return list(zip(
+        _lift("Kf*", _kf_one_step, _kf_r_level, kf0, n0, e0, n, r),
+        _lift("Kemeny", _kemeny_one_step, _kemeny_r_level, kf0 / (2 * e0), n0, e0, n, r),
+        _lift("tree count", _tau_one_step, _tau_r_level, (0, 0), n0, e0, n, r),
+    ))
 
 
 def compute(
@@ -436,16 +443,11 @@ def compute(
     if route == "closed_form":
         kf0 = kf_star_exact(g, max_order=exact_cap)
         tau0 = tau_exact(g, max_order=exact_cap)
-        kf, ke, tau = _closed_form_lift(kf0, tau0, g.vertex_count, g.edge_count, params)
+        kf, ke, exps = _closed_form_lift(kf0, g.vertex_count, g.edge_count, params.n, params.r)[-1]
+        tau = _tau_count(tau0, params.n, exps)
         return IndexReport(
-            float(kf),
-            float(ke),
-            float(tau),
-            route,
-            tau_exact=tau,
-            kf_star_exact=kf,
-            kemeny_exact=ke,
-            params=params,
+            float(kf), float(ke), float(tau), route,
+            tau_exact=tau, kf_star_exact=kf, kemeny_exact=ke, params=params,
         )
     blown = blowup_iterate(g, params, max_vertices=max_vertices)
     if route == "spectral":

@@ -443,6 +443,50 @@ class TestToleranceOption:
         assert cli.build_parser().parse_args([*argv, "--tol", "0"]).tol == 0.0
 
 
+INT_OPTIONS = [
+    (("blowup", "--input", "petersen", "--n", "3"), "--max-vertices", 0),
+    (("spectra", "--input", "petersen", "--n", "3", "--method", "numeric"), "--max-vertices", 0),
+    (("indexes", "--input", "petersen"), "--max-vertices", 0),
+    (("indexes", "--input", "petersen"), "--exact-cap", 0),
+    (("verify", "--corpus", "petersen", "--n-list", "3", "--r-list", "1"), "--max-vertices", 0),
+    (("verify", "--corpus", "petersen", "--n-list", "3", "--r-list", "1"), "--exact-cap", 0),
+    (("verify", "--corpus", "petersen", "--n-list", "3", "--r-list", "1"), "--jobs", 1),
+]
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv, option, low", INT_OPTIONS)
+    def test_below_the_floor_exits_2_with_usage(self, capsys, argv, option, low):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{option}={low - 1}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: clique-blowup {argv[0]} ")
+        assert captured.err.endswith(
+            f"error: argument {option}: must be >= {low}, got {low - 1}\n"
+        )
+
+    @pytest.mark.parametrize("argv, option, low", INT_OPTIONS)
+    def test_floor_is_accepted(self, argv, option, low):
+        args = cli.build_parser().parse_args([*argv, option, str(low)])
+        assert getattr(args, option[2:].replace("-", "_")) == low
+
+    def test_non_numeric_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--corpus", "complete:2", "--jobs", "x"])
+        assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("-1", "CLIQUE_BLOWUP_MAX_VERTICES must be >= 0, got -1"),
+        ("x", "CLIQUE_BLOWUP_MAX_VERTICES must be an integer, got 'x'"),
+    ])
+    def test_invalid_env_cap_exits_2(self, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("CLIQUE_BLOWUP_MAX_VERTICES", raw)
+        code, out, err = run(capsys, "blowup", "--input", "complete:3", "--n", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(
@@ -479,6 +523,19 @@ class TestVerify:
             + "".join(f"{name:<12}{ok_row}\n" for name in names)
             + "RESULT: PASS (686 checks, 0 failures, 1 skipped)\n"
         )
+
+    def test_deep_grid_forms_no_tree_count(self, capsys, monkeypatch):
+        # the cell is over the vertex cap, and the monotonicity check compares
+        # the exponents of tau, whose count at r = 7 would have about 1e8 bits
+        def not_formed(*args):
+            raise AssertionError("a tree count was formed")
+
+        monkeypatch.setattr(clique_blowup.indexes, "_tau_count", not_formed)
+        code, out, err = run(
+            capsys, "verify", "--corpus", "petersen", "--n-list", "5", "--r-list", "7"
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("RESULT: PASS (12 checks, 0 failures, 1 skipped)\n")
 
     def test_exact_cap_bounds_the_twin_quotient(self, capsys):
         # N = 70 is over the cap, but the 15 cliques of 4 twins leave q = 25

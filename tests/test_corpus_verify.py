@@ -97,27 +97,25 @@ class TestHarness:
         lifts = []
         original = indexes._closed_form_lift
 
-        def counted(kf0, tau0, n0, e0, params):
-            lifts.append((n0, params.n, params.r))
-            return original(kf0, tau0, n0, e0, params)
+        def counted(kf0, n0, e0, n, r):
+            lifts.append((n0, n, r))
+            return original(kf0, n0, e0, n, r)
 
         monkeypatch.setattr(indexes, "_closed_form_lift", counted)
         corpus = [("complete:3", gen_family("complete", 3)),
                   ("cycle:4", gen_family("cycle", 4))]
         report = run_verification(corpus, [3, 4], [1, 2])
         assert report.passed
-        # monotonicity lifts r = 0, 1, 2 for each n; the cells reuse r = 1, 2
-        assert sorted(lifts) == sorted(
-            (n0, n, r) for n0 in (3, 4) for n in (3, 4) for r in (0, 1, 2)
-        )
-        assert len(set(lifts)) == len(lifts) == 12
+        # monotonicity lifts levels 0..2 once for each n; the cells reuse them
+        assert sorted(lifts) == sorted((n0, n, 2) for n0 in (3, 4) for n in (3, 4))
+        assert len(set(lifts)) == len(lifts) == 4
 
     def test_shared_levels_survive_pickling(self):
         g = gen_family("cycle", 4)
         base = base_facts(g)
-        level = base.closed_form(g, 3, 2)
+        levels = base.closed_form(g, 3, 2)
         copy = pickle.loads(pickle.dumps(base))
-        assert copy.levels == {(3, 2): level}
+        assert copy.levels == {3: levels}
         assert dataclasses.replace(base, kf_star=base.kf_star + 1).levels == {}
 
     def test_resistance_triangle_violation_fails(self, monkeypatch):
@@ -137,12 +135,12 @@ class TestHarness:
         assert {r.check for r in results if not r.passed} == {"kemeny-oracle"}
 
     def test_wrong_closed_kemeny_fails_blowup_kemeny_oracle(self, monkeypatch):
-        original = indexes.kemeny_blowup_closed
-        monkeypatch.setattr(
-            indexes,
-            "kemeny_blowup_closed",
-            lambda ke, n0, e0, params: original(ke, n0, e0, params) + 1,
-        )
+        original = indexes._closed_form_lift
+
+        def corrupted(*args):
+            return [(kf, ke + 1, exps) for kf, ke, exps in original(*args)]
+
+        monkeypatch.setattr(indexes, "_closed_form_lift", corrupted)
         g = gen_family("complete", 3)
         results = cell_checks("complete:3", g, base_facts(g), 3, 1)
         assert "blowup-kemeny-oracle" in {r.check for r in results if not r.passed}
@@ -219,14 +217,14 @@ class TestHarness:
         assert requested == ([] if expected is None else [expected])
 
     def test_sensitivity_to_corrupted_constant(self, monkeypatch):
-        # deliberately corrupt the closed-form Kf*; the harness must notice
-        # the disagreement with the resistance oracle
-        original = indexes.kf_star_blowup_closed
+        # deliberately corrupt the closed-form Kf* levels; the harness must
+        # notice the disagreement with the resistance oracle
+        original = indexes._closed_form_lift
 
-        def corrupted(kf, n0, e0, params):
-            return original(kf, n0, e0, params) + Fraction(1, 7)
+        def corrupted(*args):
+            return [(kf + Fraction(1, 7), ke, exps) for kf, ke, exps in original(*args)]
 
-        monkeypatch.setattr(indexes, "kf_star_blowup_closed", corrupted)
+        monkeypatch.setattr(indexes, "_closed_form_lift", corrupted)
         report = run_verification([("complete:3", gen_family("complete", 3))], [3], [1])
         assert not report.passed
         assert any("kf" in r.check for r in report.failures)

@@ -418,6 +418,71 @@ class TestClosedForms:
         assert kf == 2 * edges * ke
 
 
+def _reference_tau_one_step(tau: int, vertices: int, edges: int, n: int) -> int:
+    """The integer one-step tree count the exponent lift replaced, kept as a reference."""
+    exp2 = edges - vertices + 1
+    expn = (n - 3) * edges + vertices - 1
+    assert exp2 >= 0 and expn >= 0
+    return tau * 2**exp2 * n**expn
+
+
+def _reference_tau_r_level(tau0: int, n0: int, e0: int, n: int, r: int) -> int:
+    """The integer single-shot tree count the exponent lift replaced."""
+    alpha = Fraction(Fraction(n * (n - 1), 2) ** r - 1, n * n - n - 2)
+    drift = Fraction(2 * e0, n + 1) * (2 * alpha - r)
+    exp2_total = 2 * e0 * alpha - r * n0 - drift + r
+    expn_total = 2 * (n - 3) * e0 * alpha + r * n0 + drift - r
+    assert exp2_total.denominator == expn_total.denominator == 1
+    return 2 ** int(exp2_total) * n ** int(expn_total) * tau0
+
+
+# the deepest r per n at which the integer reference stays under about 2e5
+# bits for a base of 8 vertices; Petersen at n = 5, r = 7 has about 1e8
+REFERENCE_DEPTH = {3: 6, 4: 5, 5: 4, 6: 3, 7: 3, 8: 3}
+
+connected_counts = st.integers(2, 8).flatmap(
+    lambda n0: st.tuples(st.just(n0), st.integers(n0 - 1, n0 * (n0 - 1) // 2))
+)
+
+
+class TestTauExponents:
+    @settings(max_examples=80, deadline=None)
+    @given(connected_counts, st.integers(1, 10**6), st.integers(3, 8), st.data())
+    def test_exponent_lift_matches_integer_reference(self, counts, tau0, n, data):
+        n0, e0 = counts
+        r = data.draw(st.integers(0, REFERENCE_DEPTH[n]), label="r")
+        reference = [tau0]
+        for level, (vertices, edges) in enumerate(count_sequence(n0, e0, n, r)[:-1], start=1):
+            reference.append(_reference_tau_one_step(reference[-1], vertices, edges, n))
+            assert _reference_tau_r_level(tau0, n0, e0, n, level) == reference[-1]
+        exps = [level[2] for level in indexes._closed_form_lift(1, n0, e0, n, r)]
+        assert [indexes._tau_count(tau0, n, e) for e in exps] == reference
+        assert tau_blowup_closed(tau0, n0, e0, BlowupParams(n, r)) == reference[-1]
+        # consecutive exponent pairs order like the counts they stand for
+        assert [a < b for a, b in zip(exps, exps[1:])] == [
+            a < b for a, b in zip(reference, reference[1:])
+        ]
+
+    @pytest.mark.parametrize("r", range(7))
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_exponents_agree_and_grow_at_every_depth(self, n, r):
+        # Petersen's counts (10, 15): the lift checks each level itself
+        levels = indexes._closed_form_lift(297, 10, 15, n, r)
+        assert len(levels) == r + 1 and levels[0][2] == (0, 0)
+        for level, (_, _, exps) in enumerate(levels):
+            assert exps == indexes._tau_r_level((0, 0), 10, 15, n, level)
+        assert all(low < high for low, high in zip(levels, levels[1:]))
+
+    def test_one_step_exponents(self):
+        # K2 -> K3 at n = 3: 2^0 * 3^1, and a triangle at n = 5: 2^1 * 5^8
+        assert indexes._tau_one_step((0, 0), 2, 1, 3) == (0, 1)
+        assert indexes._tau_one_step((4, 7), 3, 3, 5) == (5, 15)
+        assert indexes._tau_r_level((0, 0), 3, 3, 5, 1) == (1, 8)
+
+    def test_count_formed_from_exponents(self):
+        assert indexes._tau_count(3, 5, (1, 8)) == 2343750
+
+
 class TestSingleShotKemenyDeviation:
     """The single-shot depth-r expressions equal the iterated recurrences.
 
