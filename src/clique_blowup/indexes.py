@@ -330,7 +330,7 @@ def _tau_one_step(exps: tuple[int, int], vertices: int, edges: int, n: int) -> t
 
 
 def _tau_r_level(exps0: tuple[int, int], n0: int, e0: int, n: int, r: int) -> tuple[int, int]:
-    """Single-shot exponents (a, b) of 2^a * n^b after r steps; both must be integers."""
+    """exps0 plus the single-shot exponents (a, b) of 2^a * n^b after r steps, both integers."""
     alpha = Fraction(Fraction(n * (n - 1), 2) ** r - 1, n * n - n - 2)
     drift = Fraction(2 * e0, n + 1) * (2 * alpha - r)
     exp2_total = 2 * e0 * alpha - r * n0 - drift + r
