@@ -6,130 +6,57 @@ either by direct eigendecomposition or by an exact mapping from the base
 spectrum, and the multiplicative degree-Kirchhoff index, Kemeny constant,
 and spanning-tree count follow by spectral formulas, closed-form
 recurrences, and independent oracles that cross-check each other.
+
+The public names load on first use (PEP 562), so importing the package
+loads no numpy: the command line sets its BLAS thread count first.
 """
 
-from .blowup import (
-    DEFAULT_MAX_VERTICES,
-    BlowupCounts,
-    BlowupParams,
-    blowup_counts,
-    blowup_iterate,
-    clique_blowup,
-)
-from .corpus import default_corpus, graph_from_spec, petersen
-from .errors import (
-    CliqueBlowupError,
-    ClosedFormMismatchWarning,
-    DegreeZeroError,
-    DuplicateEdgeError,
-    InconsistentSpectrumError,
-    InternalAssertionError,
-    InvalidParameterError,
-    NotConnectedError,
-    NotSymmetricError,
-    NumericalFailureError,
-    ParseError,
-    SelfLoopError,
-    SizeCapExceededError,
-)
-from .graphs import (
-    Bipartition,
-    Graph,
-    bipartition,
-    gen_family,
-    incidence_rank,
-    is_connected,
-    parse_edge_list,
-    serialize_edge_list,
-)
-from .indexes import (
-    DEFAULT_EXACT_CAP,
-    IndexReport,
-    kemeny_blowup_closed,
-    kemeny_direct,
-    kemeny_exact,
-    kemeny_spectral,
-    kf_star_blowup_closed,
-    kf_star_direct,
-    kf_star_exact,
-    kf_star_spectral,
-    resistance_matrix,
-    tau_blowup_closed,
-    tau_exact,
-    tau_spectral,
-)
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_MATCH_TOL,
-    MatchReport,
-    SpectrumMultiset,
-    eig_sym,
-    laplacian_spectrum,
-    multiset_match,
-    normalized_laplacian,
-    spectrum_by_theorem,
-    spectrum_iterated,
-)
-from .verify import CheckResult, VerifyReport, run_verification
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bipartition",
-    "BlowupCounts",
-    "BlowupParams",
-    "CheckResult",
-    "CliqueBlowupError",
-    "ClosedFormMismatchWarning",
-    "DEFAULT_CLUSTER_TOL",
-    "DEFAULT_EXACT_CAP",
-    "DEFAULT_MATCH_TOL",
-    "DEFAULT_MAX_VERTICES",
-    "DegreeZeroError",
-    "DuplicateEdgeError",
-    "Graph",
-    "InconsistentSpectrumError",
-    "IndexReport",
-    "InternalAssertionError",
-    "InvalidParameterError",
-    "MatchReport",
-    "NotConnectedError",
-    "NotSymmetricError",
-    "NumericalFailureError",
-    "ParseError",
-    "SelfLoopError",
-    "SizeCapExceededError",
-    "SpectrumMultiset",
-    "VerifyReport",
-    "bipartition",
-    "blowup_counts",
-    "blowup_iterate",
-    "clique_blowup",
-    "default_corpus",
-    "eig_sym",
-    "gen_family",
-    "graph_from_spec",
-    "incidence_rank",
-    "is_connected",
-    "kemeny_blowup_closed",
-    "kemeny_direct",
-    "kemeny_exact",
-    "kemeny_spectral",
-    "kf_star_blowup_closed",
-    "kf_star_direct",
-    "kf_star_exact",
-    "kf_star_spectral",
-    "laplacian_spectrum",
-    "multiset_match",
-    "normalized_laplacian",
-    "parse_edge_list",
-    "petersen",
-    "resistance_matrix",
-    "run_verification",
-    "serialize_edge_list",
-    "spectrum_by_theorem",
-    "spectrum_iterated",
-    "tau_blowup_closed",
-    "tau_exact",
-    "tau_spectral",
-]
+# defining module -> the names the package exports from it
+_EXPORTS = {
+    "blowup": (
+        "DEFAULT_MAX_VERTICES", "BlowupCounts", "BlowupParams",
+        "blowup_counts", "blowup_iterate", "clique_blowup",
+    ),
+    "corpus": ("default_corpus", "graph_from_spec", "petersen"),
+    "errors": (
+        "CliqueBlowupError", "ClosedFormMismatchWarning", "DegreeZeroError",
+        "DuplicateEdgeError", "InconsistentSpectrumError", "InternalAssertionError",
+        "InvalidParameterError", "NotConnectedError", "NotSymmetricError",
+        "NumericalFailureError", "ParseError", "SelfLoopError", "SizeCapExceededError",
+    ),
+    "graphs": (
+        "Bipartition", "Graph", "bipartition", "gen_family", "incidence_rank",
+        "is_connected", "parse_edge_list", "serialize_edge_list",
+    ),
+    "indexes": (
+        "DEFAULT_EXACT_CAP", "IndexReport", "kemeny_blowup_closed", "kemeny_direct",
+        "kemeny_exact", "kemeny_spectral", "kf_star_blowup_closed", "kf_star_direct",
+        "kf_star_exact", "kf_star_spectral", "resistance_matrix", "tau_blowup_closed",
+        "tau_exact", "tau_spectral",
+    ),
+    "spectral": (
+        "DEFAULT_CLUSTER_TOL", "DEFAULT_MATCH_TOL", "MatchReport", "SpectrumMultiset",
+        "eig_sym", "laplacian_spectrum", "multiset_match", "normalized_laplacian",
+        "spectrum_by_theorem", "spectrum_iterated",
+    ),
+    "verify": ("CheckResult", "VerifyReport", "run_verification"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

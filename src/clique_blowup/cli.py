@@ -3,6 +3,12 @@
 stdout carries data, stderr carries diagnostics. Exit codes are a stable
 contract: 0 success or match, 1 verification mismatch, 2 invalid input,
 3 size cap exceeded, a result a double cannot hold, or out of memory.
+
+Importing this module runs BLAS on one thread: unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set, it sets all three
+to 1 before numpy loads. The matrices the commands factor are small, so a
+second thread only burns CPU, and the float output then does not depend on
+the host's core count. A count the user set is left as it is.
 """
 
 from __future__ import annotations
@@ -10,6 +16,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# BLAS reads the count once, when numpy loads: before the package imports below
+if not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from . import indexes
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate

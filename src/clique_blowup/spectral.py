@@ -251,8 +251,9 @@ def eig_sym(
     """Full spectrum of a dense symmetric matrix, clustered.
 
     numpy.linalg.eigvalsh calls LAPACK syevd (tridiagonalize, then divide
-    and conquer), which is deterministic for a fixed input; the test
-    fixtures rely on that.
+    and conquer), which is deterministic for a fixed input and thread
+    count; the test fixtures rely on that. The command line fixes the
+    count at one BLAS thread unless the user set it.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

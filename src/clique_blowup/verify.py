@@ -88,18 +88,19 @@ class VerifyReport:
         """Pass/fail table: one row per graph, one column per (n, r) cell."""
         cells = [f"n={n},r={r}" for n in self.n_list for r in self.r_list]
         headers = ["graph", "structural"] + cells
+        by_subject: dict[str, list[CheckResult]] = {}
+        for res in self.results:
+            by_subject.setdefault(res.subject, []).append(res)
         rows = []
         for name in corpus_names:
             structural = [
                 res
-                for res in self.results
-                if res.subject == name
-                or (res.subject.startswith(f"{name} n=") and "r=" not in res.subject)
+                for subject, group in by_subject.items()
+                if subject == name or (subject.startswith(f"{name} n=") and "r=" not in subject)
+                for res in group
             ]
             row = [name, _cell_status(structural)]
-            for cell in cells:
-                hits = [res for res in self.results if res.subject == f"{name} {cell}"]
-                row.append(_cell_status(hits))
+            row += [_cell_status(by_subject.get(f"{name} {cell}", [])) for cell in cells]
             rows.append(row)
         widths = [
             max(len(row[i]) for row in [headers] + rows) for i in range(len(headers))

@@ -9,7 +9,7 @@ import inspect
 import sys
 from pathlib import Path
 
-import clique_blowup  # noqa: F401  (the tracer patches loaded package modules)
+import clique_blowup.cli  # noqa: F401  (loads every module the tracer patches)
 
 ROOT = Path(__file__).resolve().parent.parent
 

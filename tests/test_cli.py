@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -647,3 +648,90 @@ class TestVerify:
         )
         assert code == 0
         assert "RESULT: PASS" in out
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_child(code, **env_vars):
+    """stdout of ``python -c code`` with only the given thread variables set.
+
+    The environment is built from a copy without the three variables, because
+    importing ``cli`` in this process has set them here.
+    """
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(clique_blowup.__file__)), **env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+needs_task_dir = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+class TestThreadPin:
+    @needs_task_dir
+    def test_cli_import_loads_numpy_on_one_thread(self):
+        code = "import clique_blowup.cli, numpy, os; print(len(os.listdir('/proc/self/task')))"
+        assert run_child(code) == "1\n"
+
+    @needs_task_dir
+    def test_module_run_loads_numpy_on_one_thread(self):
+        # run_module imports the package first, as `python -m clique_blowup.cli` does
+        code = (
+            "import os, runpy, sys\n"
+            "sys.argv = ['clique-blowup', 'gen', 'complete', '2']\n"
+            "try:\n"
+            "    runpy.run_module('clique_blowup.cli', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        assert run_child(code) == "0 1\n1\n"
+
+    def test_a_count_the_user_set_stands(self):
+        code = f"import os, clique_blowup.cli; print([os.environ.get(v) for v in {THREAD_VARS}])"
+        assert run_child(code, OMP_NUM_THREADS="3") == "['3', None, None]\n"
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        code = (
+            "import os, sys; before = dict(os.environ); import clique_blowup; "
+            "print('numpy' in sys.modules, dict(os.environ) == before)"
+        )
+        assert run_child(code) == "False True\n"
+
+
+class TestPackageSurface:
+    def test_every_export_is_its_defining_modules_object(self):
+        listed = []
+        for module, names in clique_blowup._EXPORTS.items():
+            defining = importlib.import_module(f"clique_blowup.{module}")
+            for name in names:
+                value = getattr(clique_blowup, name)
+                assert value is getattr(defining, name)
+                assert getattr(value, "__module__", defining.__name__) == defining.__name__
+                listed.append(name)
+        assert sorted(listed) == clique_blowup.__all__
+
+    def test_dir_lists_every_export(self):
+        assert set(clique_blowup.__all__) <= set(dir(clique_blowup))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            clique_blowup.no_such_name  # noqa: B018
+        assert not hasattr(clique_blowup, "no_such_name")
+
+    def test_star_import_binds_every_export(self):
+        # a fresh interpreter, so that every name goes through the module __getattr__
+        code = (
+            "from clique_blowup import *\n"
+            "import importlib\n"  # not `import clique_blowup`: that rebinds the exported function
+            "package = importlib.import_module('clique_blowup')\n"
+            "print(all(globals()[name] is getattr(importlib.import_module(f'clique_blowup.{module}'), name)\n"
+            "          for module, names in package._EXPORTS.items() for name in names))\n"
+        )
+        assert run_child(code) == "True\n"
