@@ -7,8 +7,10 @@ spectrum, and the multiplicative degree-Kirchhoff index, Kemeny constant,
 and spanning-tree count follow by spectral formulas, closed-form
 recurrences, and independent oracles that cross-check each other.
 
-The public names load on first use (PEP 562), so importing the package
-loads no numpy: the command line sets its BLAS thread count first.
+Importing the package loads no submodule, hence no numpy, so the command
+line can set its BLAS thread count first. The first use of a public name or
+submodule attribute (PEP 562) imports every submodule, as an eager
+``__init__`` would, and binds all public names.
 """
 
 from importlib import import_module
@@ -45,18 +47,21 @@ _EXPORTS = {
     ),
     "verify": ("CheckResult", "VerifyReport", "run_verification"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    if name not in __all__ and name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+    # importing a submodule binds it here; the public names are bound below
+    modules = {module: import_module(f".{module}", __name__) for module in _EXPORTS}
+    globals().update(
+        (public, getattr(modules[module], public))
+        for module, names in _EXPORTS.items()
+        for public in names
+    )
+    return globals()[name]  # later lookups skip this hook
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

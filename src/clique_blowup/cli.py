@@ -6,9 +6,11 @@ contract: 0 success or match, 1 verification mismatch, 2 invalid input,
 
 Importing this module runs BLAS on one thread: unless OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set, it sets all three
-to 1 before numpy loads. The matrices the commands factor are small, so a
-second thread only burns CPU, and the float output then does not depend on
-the host's core count. A count the user set is left as it is.
+to 1 before numpy loads. Most matrices the commands factor are small twin
+quotients, on which a second thread only burns CPU time. A factorization of
+order _blas.PARALLEL_ORDER or more runs on every core the process may use
+(see _blas). A count the user set is left as it is, and so is the count of
+a numpy that was loaded before this module.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import os
 import sys
 
 # BLAS reads the count once, when numpy loads: before the package imports below
-if not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+_PINNED = not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys()
+if _PINNED:
     os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+# the count is this module's to manage only if numpy loads after the pin
+_OWN_COUNT = _PINNED and "numpy" not in sys.modules
 
-from . import indexes
+from . import _blas, indexes
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate
 from .corpus import DEFAULT_CORPUS_SPECS, graph_from_spec
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
@@ -37,6 +42,9 @@ from .spectral import (
     spectrum_iterated,
 )
 from .verify import run_verification
+
+if _OWN_COUNT:
+    _blas.enable()  # large factorizations may use every core again
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

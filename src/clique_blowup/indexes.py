@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._blas import threads_for
 from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_within_cap
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import (
@@ -167,14 +168,15 @@ def _shifted_inverse(lap) -> np.ndarray:
     """
     shifted = np.asarray(lap, dtype=float)
     shifted += 1.0 / len(shifted)
-    try:
-        factor = np.linalg.cholesky(shifted)
-        del shifted
-        inv_factor = np.linalg.inv(factor)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
-    del factor
-    return inv_factor.T @ inv_factor
+    with threads_for(len(shifted)):
+        try:
+            factor = np.linalg.cholesky(shifted)
+            del shifted
+            inv_factor = np.linalg.inv(factor)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"shifted Laplacian solve failed: {exc}") from exc
+        del factor
+        return inv_factor.T @ inv_factor
 
 
 def _kf_star_identity(inverse: np.ndarray, weights) -> Fraction | np.floating:

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._blas import threads_for
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
 from .errors import (
     DegreeZeroError,
@@ -253,7 +254,8 @@ def eig_sym(
     numpy.linalg.eigvalsh calls LAPACK syevd (tridiagonalize, then divide
     and conquer), which is deterministic for a fixed input and thread
     count; the test fixtures rely on that. The command line fixes the
-    count at one BLAS thread unless the user set it.
+    count unless the user set it: one BLAS thread below order
+    ``_blas.PARALLEL_ORDER``, every core the process may use from there on.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -268,7 +270,8 @@ def eig_sym(
     deviation = float(np.max(block_max, initial=0.0))
     if deviation > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {deviation:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    values = np.linalg.eigvalsh(matrix)
+    with threads_for(len(matrix)):
+        values = np.linalg.eigvalsh(matrix)
     return SpectrumMultiset.from_eigenvalues(values, cluster_tol=cluster_tol)
 
 

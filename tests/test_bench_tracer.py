@@ -6,10 +6,12 @@ renamed function would otherwise only surface when a traced benchmark runs.
 
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-import clique_blowup.cli  # noqa: F401  (loads every module the tracer patches)
+from clique_blowup import spectral  # noqa: F401  (first use loads every module the tracer patches)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +39,19 @@ def test_every_traced_function_resolves(monkeypatch):
         spans.unwrap()
     assert unpatched == []
     assert all(_binding(t) is raw for t, raw in zip(tracer.TARGETS, originals))
+
+
+def test_a_library_import_loads_every_traced_module():
+    # the library workloads import what they use this way, and never import cli
+    code = (
+        "from clique_blowup import errors, spectral\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.wrap()\n"
+        "tracer.unwrap()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,10 +4,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import clique_blowup
-from clique_blowup import BlowupParams, blowup_counts, cli, tau_blowup_closed
+from clique_blowup import (
+    BlowupParams,
+    _blas,
+    blowup_counts,
+    cli,
+    eig_sym,
+    indexes,
+    tau_blowup_closed,
+)
 from clique_blowup.cli import main
 
 
@@ -671,6 +680,10 @@ def run_child(code, **env_vars):
 needs_task_dir = pytest.mark.skipif(
     not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
 )
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable cores",
+)
 
 
 class TestThreadPin:
@@ -697,6 +710,48 @@ class TestThreadPin:
         code = f"import os, clique_blowup.cli; print([os.environ.get(v) for v in {THREAD_VARS}])"
         assert run_child(code, OMP_NUM_THREADS="3") == "['3', None, None]\n"
 
+    @needs_task_dir
+    @needs_two_cores
+    def test_large_factorizations_use_every_core(self):
+        # the count rises only from PARALLEL_ORDER on, and never in a forked worker
+        code = (
+            "import clique_blowup.cli, numpy, os\n"
+            "from clique_blowup import _blas, eig_sym\n"
+            "eig_sym(numpy.eye(_blas.PARALLEL_ORDER - 1))\n"
+            "small = len(os.listdir('/proc/self/task'))\n"
+            "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
+            "large = len(os.listdir('/proc/self/task'))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(_blas._set_threads is not None)\n"
+            "print(small, large > 1, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        assert run_child(code) == "1 True 0\n"
+
+    @needs_task_dir
+    def test_a_count_the_user_set_is_never_raised(self):
+        code = (
+            "import clique_blowup.cli, numpy, os\n"
+            "from clique_blowup import _blas, eig_sym\n"
+            "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
+            "print(_blas._set_threads, len(os.listdir('/proc/self/task')))\n"
+        )
+        assert run_child(code, OPENBLAS_NUM_THREADS="1") == "None 1\n"
+
+    def test_threads_for_brackets_every_large_factorization(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_blas, "_set_threads", calls.append)
+        monkeypatch.setattr(_blas, "_cores", 4)
+        order = _blas.PARALLEL_ORDER
+        shift = np.roll(np.eye(order), 1, axis=1)
+        cycle = 2 * np.eye(order) - shift - shift.T  # Laplacian of the order-sized cycle
+        eig_sym(np.eye(order - 1))
+        indexes._shifted_inverse(cycle[:-1, :-1])
+        assert calls == []
+        eig_sym(np.eye(order))
+        indexes._shifted_inverse(cycle)
+        assert calls == [4, 1, 4, 1]
+
     def test_package_import_loads_no_numpy_and_sets_nothing(self):
         code = (
             "import os, sys; before = dict(os.environ); import clique_blowup; "
@@ -719,6 +774,17 @@ class TestPackageSurface:
 
     def test_dir_lists_every_export(self):
         assert set(clique_blowup.__all__) <= set(dir(clique_blowup))
+
+    def test_first_use_loads_every_submodule(self):
+        # as an eager __init__ did: `import clique_blowup` then `clique_blowup.spectral` works
+        code = (
+            "import sys, clique_blowup\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('clique_blowup.'))\n"
+            "clique_blowup.errors\n"
+            "print(loaded, clique_blowup.spectral.eig_sym is clique_blowup.eig_sym,\n"
+            "      all(f'clique_blowup.{module}' in sys.modules for module in clique_blowup._EXPORTS))\n"
+        )
+        assert run_child(code) == "[] True True\n"
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
