@@ -7,9 +7,10 @@ twin-free input keeps its quotient at full order, and there more threads
 do pay: two threads take 0.64x the one-thread wall time of eigvalsh at
 order 800 and 0.77x of the Cholesky inverse, 0.66x and 0.68x at order 2000
 (a 2-vCPU x86-64 host, one process per count; at order 400 the ratios are
-1.06x and 0.86x). So ``threads_for(order)`` runs a factorization of order ``PARALLEL_ORDER``
-or more on every core the process may use, through OpenBLAS's own
-``openblas_set_num_threads``, and returns to one thread afterwards.
+1.06x and 0.86x). So ``threads_for(order)`` runs a factorization of order
+``PARALLEL_ORDER`` or more on every core the process may use, through
+OpenBLAS's own ``openblas_set_num_threads``, and returns to one thread
+afterwards.
 
 Only after ``enable()`` does it change anything: the command line calls it
 when it set the one-thread count itself, never when the user set a count,
@@ -79,9 +80,8 @@ def threads_for(order: int):
     if _set_threads is None or _cores < 2 or order < PARALLEL_ORDER:
         yield
         return
-    setter = _set_threads
-    setter(_cores)
+    _set_threads(_cores)
     try:
         yield
     finally:
-        setter(1)
+        _set_threads(1)
