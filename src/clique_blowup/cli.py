@@ -156,12 +156,10 @@ def cmd_spectra(args) -> int:
 
 
 def _report_table_row(report: IndexReport) -> str:
-    def show(exact, approx: float) -> str:
-        return str(exact) if exact is not None else f"{approx:.12g}"
-
-    kf = show(report.kf_star_exact, report.kf_star)
-    ke = show(report.kemeny_exact, report.kemeny)
-    tau = show(report.tau_exact, report.tau_float)
+    kf, ke, tau = (
+        f"{value:.12g}" if isinstance(value, float) else str(value)
+        for value in (report.kf_star, report.kemeny, report.tau)
+    )
     return f"{report.route:<12} {kf:<24} {ke:<24} {tau}\n"
 
 
@@ -207,9 +205,9 @@ def _route_deltas(reports) -> dict[str, float]:
         return (hi - lo) / max(1.0, abs(hi))
 
     return {
-        "kf_star": spread([rep.kf_star for rep in reports]),
-        "kemeny": spread([rep.kemeny for rep in reports]),
-        "tau": spread([rep.tau_float for rep in reports]),
+        "kf_star": spread([float(rep.kf_star) for rep in reports]),
+        "kemeny": spread([float(rep.kemeny) for rep in reports]),
+        "tau": spread([float(rep.tau) for rep in reports]),
     }
 
 

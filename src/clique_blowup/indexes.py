@@ -47,41 +47,41 @@ ROUTES = ("spectral", "closed_form", "oracle")
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Index values with the provenance of the computation route.
+    """Each index once, in the arithmetic of its route, with the route's provenance.
 
-    Exact fields are populated when the route supports exact arithmetic;
-    the float fields are always present.
+    closed_form holds exact Fractions and an exact int tau, oracle an exact
+    int tau and floats, spectral floats. Every value must fit a double: the
+    JSON and the route deltas read each one as a float too.
     """
 
-    kf_star: float
-    kemeny: float
-    tau_float: float
+    kf_star: Fraction | float
+    kemeny: Fraction | float
+    tau: int | float
     route: str
-    tau_exact: int | None = None
-    kf_star_exact: Fraction | None = None
-    kemeny_exact: Fraction | None = None
     params: BlowupParams | None = None
 
     def __post_init__(self):
         if self.route not in ROUTES:
             raise InvalidParameterError(f"route must be one of {ROUTES}")
+        for value in (self.kf_star, self.kemeny, self.tau):
+            float(value)  # OverflowError beyond the double range
 
     def to_json(self) -> str:
         parts = [
-            f'"kf_star":{self.kf_star:.17g}',
-            f'"kemeny":{self.kemeny:.17g}',
-            f'"tau_float":{self.tau_float:.17g}',
+            f'"kf_star":{float(self.kf_star):.17g}',
+            f'"kemeny":{float(self.kemeny):.17g}',
+            f'"tau_float":{float(self.tau):.17g}',
         ]
-        if self.tau_exact is not None:
-            parts.append(f'"tau_exact":"{self.tau_exact}"')
+        if not isinstance(self.tau, float):
+            parts.append(f'"tau_exact":"{self.tau}"')
         parts.append(f'"route":"{self.route}"')
         if self.params is not None:
             parts.append(f'"n":{self.params.n}')
             parts.append(f'"r":{self.params.r}')
-        if self.kf_star_exact is not None:
-            parts.append(f'"kf_star_exact":"{self.kf_star_exact}"')
-        if self.kemeny_exact is not None:
-            parts.append(f'"kemeny_exact":"{self.kemeny_exact}"')
+        if not isinstance(self.kf_star, float):
+            parts.append(f'"kf_star_exact":"{self.kf_star}"')
+        if not isinstance(self.kemeny, float):
+            parts.append(f'"kemeny_exact":"{self.kemeny}"')
         return "{" + ",".join(parts) + "}"
 
 
@@ -446,20 +446,12 @@ def compute(
         kf0 = kf_star_exact(g, max_order=exact_cap)
         tau0 = tau_exact(g, max_order=exact_cap)
         kf, ke, exps = _closed_form_lift(kf0, g.vertex_count, g.edge_count, params.n, params.r)[-1]
-        tau = _tau_count(tau0, params.n, exps)
-        return IndexReport(
-            float(kf), float(ke), float(tau), route,
-            tau_exact=tau, kf_star_exact=kf, kemeny_exact=ke, params=params,
-        )
+        return IndexReport(kf, ke, _tau_count(tau0, params.n, exps), route, params)
     blown = blowup_iterate(g, params, max_vertices=max_vertices)
     if route == "spectral":
         sigma = laplacian_spectrum(blown, max_order=max_vertices)
         kf = kf_star_spectral(sigma, blown.edge_count)
-        ke = kemeny_spectral(sigma)
-        tau = tau_spectral(blown, sigma)
-        return IndexReport(float(kf), float(ke), tau, route, params=params)
+        return IndexReport(kf, kemeny_spectral(sigma), tau_spectral(blown, sigma), route, params)
     kf = kf_star_direct(blown)
     tau = tau_exact(blown, max_order=exact_cap)
-    return IndexReport(
-        kf, kf / (2 * blown.edge_count), float(tau), route, tau_exact=tau, params=params
-    )
+    return IndexReport(kf, kf / (2 * blown.edge_count), tau, route, params)

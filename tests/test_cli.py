@@ -392,6 +392,36 @@ class TestIndexes:
         )
         assert err == ""
 
+    # Petersen at n=3 is twin-free (q = N = 25): every route, and the deltas
+    PETERSEN_ALL = ("indexes", "--input", "petersen", "--n", "3", "--r", "1", "--route", "all")
+
+    def test_all_routes_json_output_is_pinned(self, capsys):
+        code, out, err = run(capsys, *self.PETERSEN_ALL, "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"spectral":{"kf_star":2832,"kemeny":31.466666666666669,'
+            '"tau_float":2519423999.9999251,"route":"spectral","n":3,"r":1},'
+            '"closed_form":{"kf_star":2832,"kemeny":31.466666666666665,'
+            '"tau_float":2519424000,"tau_exact":"2519424000","route":"closed_form","n":3,"r":1,'
+            '"kf_star_exact":"2832","kemeny_exact":"472/15"},'
+            '"oracle":{"kf_star":2832.0000000000005,"kemeny":31.466666666666672,'
+            '"tau_float":2519424000,"tau_exact":"2519424000","route":"oracle","n":3,"r":1},'
+            '"deltas":{"kf_star":1.61e-16,"kemeny":2.26e-16,"tau":2.97e-14}}\n'
+        )
+        assert err == ""
+
+    def test_all_routes_table_output_is_pinned(self, capsys):
+        code, out, err = run(capsys, *self.PETERSEN_ALL)
+        assert code == 0
+        assert out == (
+            "route        kf_star                  kemeny                   tau\n"
+            "spectral     2832                     31.4666666667            2519424000\n"
+            "closed_form  2832                     472/15                   2519424000\n"
+            "oracle       2832                     31.4666666667            2519424000\n"
+            'deltas: {"kf_star":1.61e-16,"kemeny":2.26e-16,"tau":2.97e-14}\n'
+        )
+        assert err == ""
+
     @pytest.mark.parametrize("route", ["closed_form", "spectral"])
     def test_tau_beyond_float_range_exits_3(self, capsys, route):
         code, out, err = run(

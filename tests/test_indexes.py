@@ -540,14 +540,7 @@ class TestSingleShotKemenyDeviation:
 class TestIndexReport:
     def test_json_shape(self):
         report = IndexReport(
-            752.0,
-            float(Fraction(188, 15)),
-            2343750.0,
-            "closed_form",
-            tau_exact=2343750,
-            kf_star_exact=Fraction(752),
-            kemeny_exact=Fraction(188, 15),
-            params=BlowupParams(5, 1),
+            Fraction(752), Fraction(188, 15), 2343750, "closed_form", params=BlowupParams(5, 1)
         )
         text = report.to_json()
         assert text.startswith('{"kf_star":752,"kemeny":12.533333333333333,')
