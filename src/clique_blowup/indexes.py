@@ -43,6 +43,7 @@ from .graphs import Graph, require_connected
 from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
 
 ROUTES = ("spectral", "closed_form", "oracle")
+_BEYOND_DOUBLE = "{0} of the {1} route is beyond the double range (log10 {0} = {2:.1f})"
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,13 @@ class IndexReport:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise InvalidParameterError(f"route must be one of {ROUTES}")
-        for value in (self.kf_star, self.kemeny, self.tau):
-            float(value)  # OverflowError beyond the double range
+        for name in ("kf_star", "kemeny", "tau"):
+            value = getattr(self, name)
+            try:
+                float(value)
+            except OverflowError:
+                log10 = math.log10(value.numerator) - math.log10(value.denominator)
+                raise OverflowError(_BEYOND_DOUBLE.format(name, self.route, log10)) from None
 
     def to_json(self) -> str:
         parts = [
@@ -124,7 +130,11 @@ def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
     up to a few hundred vertices. A count beyond the float range raises
     OverflowError.
     """
-    return math.exp(_log_tau_spectral(g, sigma))
+    log_tau = _log_tau_spectral(g, sigma)
+    try:
+        return math.exp(log_tau)
+    except OverflowError:
+        raise OverflowError(_BEYOND_DOUBLE.format("tau", "spectral", log_tau / math.log(10)))
 
 
 def _class_laplacian(edges, class_of: np.ndarray, order: int) -> np.ndarray:

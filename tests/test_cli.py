@@ -433,6 +433,28 @@ class TestIndexes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("argv", "route", "log10"),
+        [
+            (("petersen", "--n", "6", "--r", "2", "--route", "closed_form"), "closed_form", "673.0"),
+            (("petersen", "--n", "6", "--r", "2", "--route", "spectral"), "spectral", "673.0"),
+            # the spectral route runs first and overflows first
+            (("petersen", "--n", "6", "--r", "2", "--route", "all"), "spectral", "673.0"),
+            (
+                ("petersen", "--n", "5", "--r", "2", "--route", "oracle", "--exact-cap", "600"),
+                "oracle",
+                "308.7",
+            ),
+            (("cycle:1000", "--n", "3", "--r", "1", "--route", "spectral"), "spectral", "479.9"),
+        ],
+    )
+    def test_beyond_double_range_names_index_route_and_size(self, capsys, argv, route, log10):
+        code, out, err = run(capsys, "indexes", "--input", *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: tau of the {route} route is beyond the double range (log10 tau = {log10})\n"
+        )
+
     @pytest.mark.parametrize("route", ["closed_form", "oracle", "spectral", "all"])
     @pytest.mark.parametrize("r", ["0", "1"])
     def test_edgeless_input_exits_2(self, capsys, route, r):

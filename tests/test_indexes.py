@@ -549,6 +549,15 @@ class TestIndexReport:
         assert '"n":5' in text and '"r":1' in text
         assert text == report.to_json()
 
+    def test_value_beyond_double_range_is_named(self):
+        # log10(10^400 / 3) = 399.52: the log comes from numerator and denominator
+        with pytest.raises(
+            OverflowError,
+            match=r"^kemeny of the closed_form route is beyond the double range "
+            r"\(log10 kemeny = 399\.5\)$",
+        ):
+            IndexReport(Fraction(1), Fraction(10**400, 3), 1, "closed_form")
+
     def test_route_validated(self):
         with pytest.raises(InvalidParameterError):
             IndexReport(1.0, 1.0, 1.0, "guess")
