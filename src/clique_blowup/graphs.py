@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ._exact import DEFAULT_EXACT_CAP, integer_rank, require_within_cap
+from ._exact import DEFAULT_EXACT_CAP, modular_rank, require_within_cap
 from .errors import (
     DuplicateEdgeError,
     InvalidParameterError,
@@ -234,15 +234,16 @@ def bipartition(g: Graph) -> Bipartition:
 def incidence_rank(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
     """Rank over the rationals of the vertex-edge incidence matrix.
 
-    Computed by exact fraction-free elimination, never floating point:
-    the result equals vertex_count - 1 for connected bipartite graphs and
-    vertex_count otherwise, and that dichotomy must be bit-exact. The
-    vertex count, the order eliminated, is capped at max_order.
+    Exact, never floating point: the result equals vertex_count - 1 for
+    connected bipartite graphs and vertex_count otherwise, and that
+    dichotomy must be bit-exact. Every square minor of an unsigned incidence
+    matrix is 0 or +-2^k (Grossman, Kulkarni and Schochetman, Linear Algebra
+    Appl. 1995), so a nonzero maximal minor is prime to any odd prime and
+    the rank modulo the prime 2**31 - 1 is the rank over Q. The transpose is
+    eliminated, one sparse row per edge with its two ones and one column
+    per vertex; each row keeps at most two nonzeros, so the work grows as
+    N * E at most. The vertex count is capped at max_order.
     """
     require_connected(g)
     require_within_cap(g.vertex_count, max_order)
-    matrix = [[0] * g.edge_count for _ in range(g.vertex_count)]
-    for col, (u, v) in enumerate(g.edges):
-        matrix[u][col] = 1
-        matrix[v][col] = 1
-    return integer_rank(matrix)
+    return modular_rank([{u: 1, v: 1} for u, v in g.edges], g.vertex_count)

@@ -155,10 +155,10 @@ class TestHarness:
         assert failed == {"closed-vs-oracle-tau", "blowup-tau-oracle"}
 
     def test_incidence_rank_skipped_over_exact_cap(self, monkeypatch):
-        def not_called(matrix):
+        def not_called(rows, width):
             raise AssertionError("incidence matrix eliminated over the exact cap")
 
-        monkeypatch.setattr(graphs, "integer_rank", not_called)
+        monkeypatch.setattr(graphs, "modular_rank", not_called)
         g = petersen()
         results = graph_checks("petersen", g, base_facts(g, exact_cap=5))
         rank = [r for r in results if r.check == "incidence-rank"]

@@ -1,6 +1,7 @@
 """Oracle tests for the exact elimination helpers."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +11,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clique_blowup import _exact
 from clique_blowup._exact import (
+    FILL_LIMIT,
     _is_prime,
     _primes,
     bareiss_determinant,
     fraction_inverse,
     integer_rank,
     modular_determinant,
+    modular_rank,
 )
-from clique_blowup.errors import NumericalFailureError
+from clique_blowup.blowup import BlowupParams, blowup_iterate
+from clique_blowup.corpus import default_corpus
+from clique_blowup.errors import NumericalFailureError, SizeCapExceededError
+from clique_blowup.indexes import tau_exact
 
 int_matrices = arrays(
     np.int64, (4, 4), elements=st.integers(min_value=-6, max_value=6)
@@ -120,6 +127,21 @@ def test_bareiss_matches_sympy_on_random(matrix):
     check_against_sympy(matrix)
 
 
+def sparse_rows(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+@given(small_matrices)
+def test_modular_rank_matches_integer_rank(matrix):
+    # every minor is below 2**31 in absolute value, so none vanishes mod p
+    assert modular_rank(sparse_rows(matrix), len(matrix[0])) == integer_rank(matrix)
+
+
+def test_modular_rank_skips_empty_columns():
+    assert modular_rank(sparse_rows([[0, 1, 0, 2], [0, 2, 0, 4], [0, 0, 0, 1]]), 4) == 2
+    assert modular_rank([{}, {}], 3) == 0
+
+
 @given(square_int_matrices)
 def test_modular_determinant_matches_bareiss(matrix):
     assert modular_determinant(matrix) == bareiss_determinant(matrix)
@@ -128,6 +150,109 @@ def test_modular_determinant_matches_bareiss(matrix):
 @given(sparse_int_matrices())
 def test_modular_determinant_matches_bareiss_on_sparse(matrix):
     assert modular_determinant(matrix) == bareiss_determinant(matrix)
+
+
+# the largest order at which a dense matrix stays on the sparse loop
+SPARSE_DENSE_ORDER = math.isqrt(FILL_LIMIT) + 1
+
+
+@st.composite
+def laplacian_like_matrices(draw):
+    """Symmetric, off-diagonal entries <= 0, diagonal at least the row's |sum|.
+
+    Sparse (a few neighbours a row) or dense, and of orders on both sides of
+    the one where a dense matrix leaves the sparse loop.
+    """
+    n = draw(st.integers(1, SPARSE_DENSE_ORDER + 3))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                matrix[i][j] = matrix[j][i] = -draw(st.integers(1, 3))
+    for i in range(n):
+        matrix[i][i] = -sum(matrix[i]) + draw(st.integers(0, 2))
+    return matrix
+
+
+@contextmanager
+def counting_dense(monkeypatch):
+    """Count the calls that reach the numpy loop."""
+    calls = []
+    original = _exact._dense_determinant
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(_exact, "_dense_determinant", spy)
+    yield calls
+
+
+@given(laplacian_like_matrices())
+def test_modular_determinant_matches_bareiss_on_laplacian_like(matrix):
+    assert modular_determinant(matrix) == bareiss_determinant(matrix)
+
+
+def dense_laplacian_minor(order: int) -> list[list[int]]:
+    """The grounded Laplacian of K_(order+1): det = (order+1)**(order-1)."""
+    return [[order if i == j else -1 for j in range(order)] for i in range(order)]
+
+
+@pytest.mark.parametrize(
+    "order,dense", [(SPARSE_DENSE_ORDER, False), (SPARSE_DENSE_ORDER + 1, True), (40, True)]
+)
+def test_fill_limit_sends_dense_matrices_to_the_numpy_loop(monkeypatch, order, dense):
+    with counting_dense(monkeypatch) as calls:
+        assert modular_determinant(dense_laplacian_minor(order)) == (order + 1) ** (order - 1)
+    assert calls == ([order] if dense else [])
+
+
+def test_default_grid_minors_stay_on_the_sparse_loop(monkeypatch):
+    def not_called(*args):
+        raise AssertionError("a default-grid minor reached the numpy loop")
+
+    monkeypatch.setattr(_exact, "_dense_determinant", not_called)
+    calls = 0
+    for _, base in default_corpus():
+        graphs = [base] + [
+            blowup_iterate(base, BlowupParams(n, r)) for n in (3, 4, 5) for r in (1, 2)
+        ]
+        for g in graphs:
+            try:
+                tau_exact(g)
+            except SizeCapExceededError:
+                continue
+            calls += 1
+    assert calls == 62
+
+
+def test_sparse_pivot_parity():
+    # the pivots of columns 0, 1 (and 2) come from rows 1, 0 (and 2): odd
+    with_swap = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
+    assert modular_determinant(with_swap) == bareiss_determinant(with_swap) == -5
+    # a 3-cycle of pivot rows is even
+    cycle = [[0, 2, 0], [0, 0, 3], [5, 0, 0]]
+    assert modular_determinant(cycle) == bareiss_determinant(cycle) == 30
+
+
+def test_non_unit_pivot_is_passed_over(monkeypatch):
+    # both largest primes divide M; the first row's pivot is not a unit, so
+    # the second row pivots column 0 (an odd permutation) and no decline
+    p, q = _primes(2)
+    matrix = [[p * q, 1], [1, 1]]
+    with counting_dense(monkeypatch) as calls:
+        assert modular_determinant(matrix) == p * q - 1
+    assert calls == []
+
+
+def test_column_without_unit_declines_and_stays_exact(monkeypatch):
+    # after the pivot 3, column 1 holds only p*q, which shares two primes with M
+    p, q = _primes(2)
+    matrix = [[p * q, 1], [0, 3]]
+    with counting_dense(monkeypatch) as calls:
+        assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p * q
+    assert calls == [2]
 
 
 def test_modular_determinant_pivot_vanishes_after_reordering():

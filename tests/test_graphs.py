@@ -304,10 +304,10 @@ class TestIncidenceRank:
     def test_cap_on_the_vertex_count(self, monkeypatch):
         assert incidence_rank(petersen(), max_order=10) == 10
 
-        def not_called(matrix):
+        def not_called(rows, width):
             raise AssertionError("incidence matrix eliminated over the cap")
 
-        monkeypatch.setattr(graphs_module, "integer_rank", not_called)
+        monkeypatch.setattr(graphs_module, "modular_rank", not_called)
         with pytest.raises(SizeCapExceededError, match="^order 10 exceeds exact cap 9$"):
             incidence_rank(petersen(), max_order=9)
 
