@@ -36,7 +36,7 @@ DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
 # at order 20 (361), so the limit sits at the crossover: a dense matrix of
 # order 17 or less stays sparse (a 2-vCPU x86-64 host). Blowup minors stay
 # far below it: at most 9 per row on the default verify grid, 79 on the
-# blowup of K_45 at n=3, which then takes 0.43 s instead of 1.1 s.
+# blowup of K_45 at n=3, which then takes 0.44 s instead of 1.16 s.
 FILL_LIMIT = 256
 
 # Primes below 2**31 in descending order, extended on demand. Residues stay
@@ -101,9 +101,9 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     finds too much fill, the numpy loop ``_dense_determinant`` takes the
     matrix, one prime at a time with its own pivots. Otherwise ``_eliminate``
     runs on sparse rows modulo M itself. A column with no nonzero mod M
-    gives det = 0, certified because |det| < M/2. It declines where a
-    column's nonzeros all share a prime with M, and the numpy loop then
-    starts from the original matrix, so no prime is ever retried. The only
+    gives det = 0, certified because |det| < M/2. ``_eliminate`` declines
+    where a column's nonzeros all share a prime with M, and the numpy loop
+    then starts from the original matrix, so no prime is ever retried. The only
     caller, ``tau_exact``, passes Laplacian minors; those of the blowups on
     the default ``verify`` grid never reach the numpy loop.
     """
