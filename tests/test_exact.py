@@ -1,7 +1,6 @@
 """Oracle tests for the exact elimination helpers."""
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,7 @@ from clique_blowup.blowup import BlowupParams, blowup_iterate
 from clique_blowup.corpus import default_corpus
 from clique_blowup.errors import NumericalFailureError, SizeCapExceededError
 from clique_blowup.indexes import tau_exact
+from conftest import record_orders
 
 int_matrices = arrays(
     np.int64, (4, 4), elements=st.integers(min_value=-6, max_value=6)
@@ -175,20 +175,6 @@ def laplacian_like_matrices(draw):
     return matrix
 
 
-@contextmanager
-def counting_dense(monkeypatch):
-    """Count the calls that reach the numpy loop."""
-    calls = []
-    original = _exact._dense_determinant
-
-    def spy(*args):
-        calls.append(len(args[0]))
-        return original(*args)
-
-    monkeypatch.setattr(_exact, "_dense_determinant", spy)
-    yield calls
-
-
 @given(laplacian_like_matrices())
 def test_modular_determinant_matches_bareiss_on_laplacian_like(matrix):
     assert modular_determinant(matrix) == bareiss_determinant(matrix)
@@ -203,8 +189,8 @@ def dense_laplacian_minor(order: int) -> list[list[int]]:
     "order,dense", [(SPARSE_DENSE_ORDER, False), (SPARSE_DENSE_ORDER + 1, True), (40, True)]
 )
 def test_fill_limit_sends_dense_matrices_to_the_numpy_loop(monkeypatch, order, dense):
-    with counting_dense(monkeypatch) as calls:
-        assert modular_determinant(dense_laplacian_minor(order)) == (order + 1) ** (order - 1)
+    calls = record_orders(monkeypatch, _exact, "_dense_determinant")
+    assert modular_determinant(dense_laplacian_minor(order)) == (order + 1) ** (order - 1)
     assert calls == ([order] if dense else [])
 
 
@@ -241,8 +227,8 @@ def test_non_unit_pivot_is_passed_over(monkeypatch):
     # the second row pivots column 0 (an odd permutation) and no decline
     p, q = _primes(2)
     matrix = [[p * q, 1], [1, 1]]
-    with counting_dense(monkeypatch) as calls:
-        assert modular_determinant(matrix) == p * q - 1
+    calls = record_orders(monkeypatch, _exact, "_dense_determinant")
+    assert modular_determinant(matrix) == p * q - 1
     assert calls == []
 
 
@@ -250,8 +236,8 @@ def test_column_without_unit_declines_and_stays_exact(monkeypatch):
     # after the pivot 3, column 1 holds only p*q, which shares two primes with M
     p, q = _primes(2)
     matrix = [[p * q, 1], [0, 3]]
-    with counting_dense(monkeypatch) as calls:
-        assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p * q
+    calls = record_orders(monkeypatch, _exact, "_dense_determinant")
+    assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p * q
     assert calls == [2]
 
 
