@@ -2,13 +2,14 @@
 
 ``modular_determinant`` computes integer determinants modulo M, a product
 of word-sized primes whose count comes from the Hadamard bound, so the
-result is certified, not probabilistic. It is structured Gaussian
+result is certified, not probabilistic. It takes sparse rows
+``{column: entry}``, as ``modular_rank`` does, and is structured Gaussian
 elimination: a pass over the nonzero pattern predicts the fill, and a matrix
 that stays sparse, such as a blowup's Laplacian minor, is eliminated in
-Python on sparse rows modulo M, with the lowest-degree rows first. A matrix
-that fills in goes to a numpy loop that eliminates modulo every prime at
-once and recovers the value by the Chinese remainder theorem.
-``modular_rank`` runs the same sparse loop modulo one prime.
+Python on those rows modulo M, with the lowest-degree rows first. Only a
+matrix that fills in becomes a dense array, for a numpy loop that eliminates
+modulo every prime at once and recovers the value by the Chinese remainder
+theorem. ``modular_rank`` runs the same sparse loop modulo one prime.
 
 One fraction-free Gauss-Jordan elimination on Python ints (Bareiss) gives
 the exact rational inverse of the exact Kf* route, and the integer rank and
@@ -20,7 +21,6 @@ floating-point rounding.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -83,16 +83,17 @@ def require_within_cap(order: int, max_order: int) -> None:
         raise SizeCapExceededError(f"order {order} exceeds exact cap {max_order}")
 
 
-def modular_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix, by elimination modulo M.
+def modular_determinant(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of the q x q integer matrix with sparse rows ``{column: entry}``.
 
-    |det| <= B with B**2 = prod_i sum_j a_ij**2 (Hadamard), so for a product
-    M of primes below 2**31 with M > 2B the residue mod M, lifted to the
-    symmetric range, is det. Rows and columns are first permuted by one
-    symmetric permutation into ascending order of nonzero count, which
-    leaves the determinant unchanged (det PAP^T = det A); on a graph
-    Laplacian minor this eliminates the lowest-degree vertices first, so the
-    fill stays inside their cliques (the minimum-degree ordering of
+    Columns lie in 0 .. q-1 (else ValueError); the rows are not consumed.
+    |det| <= B with B**2 = prod_i sum_j a_ij**2 over the nonzeros (Hadamard),
+    so for a product M of primes below 2**31 with M > 2B the residue mod M,
+    lifted to the symmetric range, is det. Rows and columns are first
+    permuted by one symmetric permutation into ascending order of nonzero
+    count, which leaves the determinant unchanged (det PAP^T = det A); on a
+    graph Laplacian minor this eliminates the lowest-degree vertices first,
+    so the fill stays inside their cliques (the minimum-degree ordering of
     Markowitz 1957 and Rose 1972).
 
     This is structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
@@ -103,30 +104,30 @@ def modular_determinant(matrix: list[list[int]]) -> int:
     runs on sparse rows modulo M itself. A column with no nonzero mod M
     gives det = 0, certified because |det| < M/2. ``_eliminate`` declines
     where a column's nonzeros all share a prime with M, and the numpy loop
-    then starts from the original matrix, so no prime is ever retried. The only
+    then starts from the original rows, so no prime is ever retried. The only
     caller, ``tau_exact``, passes Laplacian minors; those of the blowups on
     the default ``verify`` grid never reach the numpy loop.
     """
-    size = len(matrix)
+    size = len(rows)
     bound_sq = 1
-    for row in matrix:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-        bound_sq *= sum(map(operator.mul, row, row))
-    order = sorted(range(size), key=lambda i: size - matrix[i].count(0))
+    for row in rows:
+        if not all(0 <= j < size for j in row):
+            raise ValueError(f"column index outside 0..{size - 1}")
+        bound_sq *= sum(x * x for x in row.values())
+    if not bound_sq:
+        return 0  # a zero row
+    order = sorted(range(size), key=lambda i: len(rows[i]))
     plist: list[int] = []
     modulus = 1
     while modulus * modulus <= 4 * bound_sq:
         plist = _primes(len(plist) + 1)
         modulus *= plist[-1]
-    position = [0] * size
-    for k, i in enumerate(order):
-        position[i] = k
-    # a nonzero entry is nonzero mod M too: M > 2B >= 2|x| unless B = 0
-    rows = [{position[j]: x for j, x in enumerate(matrix[i]) if x} for i in order]
-    eliminated = None if _fills_in(rows) else _eliminate(rows, size, modulus)
+    position = {i: k for k, i in enumerate(order)}
+    # a nonzero entry is nonzero mod M too: M > 2B >= 2|x|
+    sparse = [{position[j]: x for j, x in rows[i].items() if x} for i in order]
+    eliminated = None if _fills_in(sparse) else _eliminate(sparse, size, modulus)
     if eliminated is None:
-        value = _dense_determinant(matrix, order, plist)
+        value = _dense_determinant(rows, position, plist)
     else:
         pivot_rows, value = eliminated
         if len(pivot_rows) < size:
@@ -245,30 +246,31 @@ def _is_odd(permutation: list[int]) -> bool:
     return odd
 
 
-def _dense_determinant(matrix: list[list[int]], order: list[int], plist: list[int]) -> int:
+def _dense_determinant(rows: list[dict[int, int]], position: dict, plist: list[int]) -> int:
     """det mod prod(plist) in [0, M), all primes at once in numpy.
 
     Gaussian elimination runs modulo every prime together on one
-    (primes, N, N) int64 array in the symmetric ``order``, with a pivot
-    search per prime: an entry can vanish mod p without vanishing over Q. A
-    column with no nonzero entry mod p makes that prime's residue 0, which
-    is a true residue and still enters the Chinese remainder reconstruction.
-    Each step updates only the rows nonzero in the pivot column and the
-    columns nonzero in the pivot row for some prime: a zero multiplier for
-    one prime is a no-op, so the restricted update is exact.
+    (primes, N, N) int64 array: row and column i go to ``position[i]``, and
+    each distinct entry is reduced as a Python int modulo each prime. A
+    pivot search runs per prime: an entry can vanish mod p without vanishing
+    over Q. A column with no nonzero entry mod p makes that prime's residue
+    0, which is a true residue and still enters the Chinese remainder
+    reconstruction. Each step updates only the rows nonzero in the pivot
+    column and the columns nonzero in the pivot row for some prime: a zero
+    multiplier for one prime is a no-op, so the restricted update is exact.
     """
-    size = len(matrix)
+    size = len(rows)
     primes = np.array(plist, dtype=np.int64)
     p_col = primes[:, None]
     p_cube = primes[:, None, None]
-    try:
-        a = np.array(matrix, dtype=np.int64).reshape(size, size)
-        a = a[np.ix_(order, order)].reshape(1, size, size) % p_cube
-    except OverflowError:
-        # entries beyond int64: reduce as Python ints first
-        big = np.array(matrix, dtype=object).reshape(size, size)[np.ix_(order, order)]
-        reduced = [big % p for p in plist]
-        a = np.array(reduced, dtype=np.int64).reshape(len(plist), size, size)
+    code: dict[int, int] = {}  # each distinct entry, numbered
+    cells = [
+        (position[i], position[j], code.setdefault(x, len(code)))
+        for i, row in enumerate(rows) for j, x in row.items()
+    ]
+    i, j, k = np.array(cells, dtype=np.intp).T
+    a = np.zeros((len(plist), size, size), dtype=np.int64)
+    a[:, i, j] = np.array([[x % p for x in code] for p in plist], dtype=np.int64)[:, k]
     det = np.ones(len(plist), dtype=np.int64)
     negate = np.zeros(len(plist), dtype=bool)
     for k in range(size):

@@ -7,9 +7,9 @@ labels from edge positions in it.
 
 Connectivity and the 2-colouring come from one breadth-first traversal,
 cached on the immutable Graph like its adjacency; every guard reads it. The
-true-twin classes (vertices with equal closed neighbourhoods) are grouped
-once per Graph too; the eigensolve and the exact and float index oracles
-all read that one grouping.
+true-twin classes (vertices with equal closed neighbourhoods) and the edges
+between them are found once per Graph too; every quotient matrix, dense or
+as the sparse rows of exact tau, is built from them.
 """
 
 from __future__ import annotations
@@ -101,12 +101,14 @@ class Graph:
         return tuple(side), "" not in side, clash
 
     @cached_property
-    def _twins(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """True-twin classes: each vertex's class, and each class's size and degree.
+    def _twins(self) -> tuple[tuple, ...]:
+        """True-twin classes: each vertex's class, each class's size and degree,
+        and the class edges, the sorted pairs (T, U), T < U, of adjacent classes.
 
         Vertices with the same closed neighbourhood N[v] share a class, and so
-        a degree. Classes are numbered by their smallest vertex, so a
-        twin-free graph keeps its labels.
+        a degree, and two classes are joined all-to-all or not at all. Classes
+        are numbered by their smallest vertex, so a twin-free graph keeps its
+        labels and its edges.
         """
         index: dict[tuple[int, ...], int] = {}
         class_of = tuple(
@@ -117,7 +119,10 @@ class Graph:
         for c, d in zip(class_of, self.degrees):
             size[c] += 1
             degree[c] = d
-        return class_of, tuple(size), tuple(degree)
+        # the keys of index are the classes' closed neighbourhoods, in class order
+        neighbours = ({class_of[w] for w in closed} for closed in index)
+        links = tuple((t, u) for t, us in enumerate(neighbours) for u in sorted(us) if u > t)
+        return class_of, tuple(size), tuple(degree), links
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,14 @@ Three mutually checking routes:
   Kemeny = sum(1/lambda), tau = (1/2m) * prod(d_i) * prod(lambda != 0);
 * oracle: resistance distances (Kf* = sum d_i d_j r_ij, summed by one
   identity on the float shifted and the exact grounded Laplacian inverse)
-  and the exact matrix-tree determinant for tau. Both run on the true-twin
-  quotient: the q x q integer Laplacian L_w = P^T L P of the classes of
-  vertices with equal closed neighbourhoods, read from the built graph's
-  adjacency. A twin class of size k and degree d enters through known
-  factors (eigenvalue d + 1 with multiplicity k - 1), so a blowup, whose
-  n - 2 new vertices per edge are twins, eliminates at order q, not N. A
-  twin-free graph has q = N and L_w = L. The exact cap bounds q;
-  ``resistance_matrix`` returns all N^2 pairs, so the same cap bounds N;
+  and the exact matrix-tree determinant for tau, on the true-twin quotient
+  L_w = P^T L P over the classes of equal closed neighbourhoods, built from
+  the class edges of the graph as built: dense for the inverses, sparse
+  rows of the grounded minor for tau. A class of k twins of degree d enters
+  through known factors (eigenvalue d + 1 with multiplicity k - 1), so a
+  blowup, whose n - 2 new vertices per edge are twins, eliminates at order
+  q, not N. A twin-free graph has q = N and L_w = L. The exact cap bounds
+  q; ``resistance_matrix`` returns all N^2 pairs, so the same cap bounds N;
 * closed form: one-step blowup recurrences iterated in exact rational
   arithmetic, tau as its exponents of 2 and n, cross-asserted against the
   single-shot expressions at every depth up to r.
@@ -137,23 +137,22 @@ def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
         raise OverflowError(_BEYOND_DOUBLE.format("tau", "spectral", log_tau / math.log(10)))
 
 
-def _class_laplacian(edges, class_of: np.ndarray, order: int) -> np.ndarray:
+def _class_laplacian(links, size, degree) -> np.ndarray:
     """Integer P^T L P, P the indicator matrix of a partition into true-twin classes.
 
-    Each edge puts -1 between the classes of its ends and +1 on their
-    diagonal entries, so adjacent classes T, U get -k_T k_U and an edge
-    inside a class adds nothing. Singleton classes give L itself.
+    Adjacent classes T, U (``links`` holds each pair once) get -k_T k_U, and
+    the diagonal k_T (d_T - k_T + 1) counts the edges leaving class T.
+    Singleton classes with the edges as links give L itself.
     """
-    us, vs = class_of[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
-    lap = np.zeros((order, order), dtype=np.int64)
-    rows, cols = np.concatenate([us, vs, us, vs]), np.concatenate([vs, us, us, vs])
-    np.add.at(lap, (rows, cols), np.repeat([-1, -1, 1, 1], len(us)))
+    k = np.array(size, dtype=np.int64)
+    lap = np.diag(k * (np.array(degree, dtype=np.int64) - k + 1))
+    us, vs = np.array(links, dtype=np.intp).reshape(-1, 2).T
+    lap[us, vs] = lap[vs, us] = -k[us] * k[vs]
     return lap
 
 
 def _combinatorial_laplacian(g: Graph) -> np.ndarray:
-    n = g.vertex_count
-    return _class_laplacian(g.edges, np.arange(n), n)
+    return _class_laplacian(g.edges, [1] * g.vertex_count, g.degrees)
 
 
 def _twin_laplacian(g: Graph, max_order: int | None = None) -> np.ndarray:
@@ -163,10 +162,10 @@ def _twin_laplacian(g: Graph, max_order: int | None = None) -> np.ndarray:
     classes T and U. A twin-free graph has q = N and L_w = L.
     """
     require_connected(g)
-    class_of, size, _ = g._twins
+    _, size, degree, links = g._twins
     if max_order is not None:
         require_within_cap(len(size), max_order)
-    return _class_laplacian(g.edges, np.array(class_of, dtype=np.intp), len(size))
+    return _class_laplacian(links, size, degree)
 
 
 def _shifted_inverse(lap) -> np.ndarray:
@@ -214,7 +213,7 @@ def _kf_star_twins(inverse: np.ndarray, g: Graph) -> Fraction | np.floating:
     classes add up to 2m * sum_T d_T (k_T - 1)/(d_T + 1), which is 0 without
     twins.
     """
-    _, size, degree = g._twins
+    _, size, degree, _ = g._twins
     inside = sum((Fraction(d * (k - 1), d + 1) for k, d in zip(size, degree)), Fraction(0))
     weights = [k * d for k, d in zip(size, degree)]
     # the twin term takes the array's dtype too: a Fraction, or a rounded float
@@ -277,12 +276,17 @@ def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
     tau = det(L_w[1:, 1:]) * prod_T (d_T + 1)^(k_T - 1) / prod_T k_T: the
     minor is a cofactor of the weighted quotient (weighted matrix-tree
     theorem), and each class adds d_T + 1 with multiplicity k_T - 1 to the
-    Laplacian spectrum. The determinant is taken modulo enough primes to
-    pass the Hadamard bound, so the count is exact at any size the cap
-    allows.
+    Laplacian spectrum. The minor is built as sparse rows from the class
+    edges, with no q x q array, and its determinant is exact at any size the
+    cap allows.
     """
-    minor = _twin_laplacian(g, max_order)[1:, 1:].tolist()
-    _, size, degree = g._twins
+    require_connected(g)
+    _, size, degree, links = g._twins
+    require_within_cap(len(size), max_order)
+    minor = [{t: k * (d - k + 1)} for t, (k, d) in enumerate(zip(size[1:], degree[1:]))]
+    for t, u in links:
+        if t:
+            minor[t - 1][u - 1] = minor[u - 1][t - 1] = -size[t] * size[u]
     twin_factor = math.prod((d + 1) ** (k - 1) for k, d in zip(size, degree))
     count, remainder = divmod(modular_determinant(minor) * twin_factor, math.prod(size))
     if remainder:
@@ -462,6 +466,7 @@ def compute(
         sigma = laplacian_spectrum(blown, max_order=max_vertices)
         kf = kf_star_spectral(sigma, blown.edge_count)
         return IndexReport(kf, kemeny_spectral(sigma), tau_spectral(blown, sigma), route, params)
-    kf = kf_star_direct(blown)
+    # the exact cap is checked before the uncapped float solve runs
     tau = tau_exact(blown, max_order=exact_cap)
+    kf = kf_star_direct(blown)
     return IndexReport(kf, kf / (2 * blown.edge_count), tau, route, params)

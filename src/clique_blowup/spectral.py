@@ -13,11 +13,11 @@ Two independent routes produce the spectrum of a blown-up graph:
 ``laplacian_spectrum`` first deflates true twins, vertices with the same
 closed neighbourhood N[v]. For x supported on a class of k twins of degree
 d with sum(x) = 0, Ax = -x, so the class gives 1 + 1/d with multiplicity
-k - 1; ``eig_sym`` solves only the symmetric quotient with one row per
-class, whose singleton case is ``normalized_laplacian``. The classes come
-from the adjacency of the graph as built (``Graph._twins``, grouped once
-per graph and shared with the index oracles), never from the blowup
-parameters or the theorem, so the two routes stay independent.
+k - 1; ``eig_sym`` solves only the symmetric quotient, one row per class
+and one entry pair per class edge; its singleton case is
+``normalized_laplacian``. Classes and class edges come from the graph as
+built (``Graph._twins``, shared with the index oracles), never from the
+blowup parameters or the theorem, so the two routes stay independent.
 
 ``multiset_match`` compares the two on flattened value lists so clustering
 can never manufacture a false match.
@@ -214,22 +214,18 @@ def _check_order(order: int, max_order: int) -> None:
         raise SizeCapExceededError(f"matrix order {order} exceeds cap {max_order}")
 
 
-def _quotient_laplacian(
-    edges, class_of: np.ndarray, size: np.ndarray, degree: np.ndarray
-) -> np.ndarray:
+def _quotient_laplacian(links, size: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Normalized Laplacian restricted to vectors constant on each vertex class.
 
     Classes are sets of true twins (equal closed neighbourhoods), so class T
-    has one degree d_T and a size k_T, and two classes are joined all-to-all
-    or not at all. In the orthonormal basis 1_T / sqrt(k_T) the matrix has
+    has one degree d_T and a size k_T; ``links`` holds each adjacent pair
+    (T, U) once. In the orthonormal basis 1_T / sqrt(k_T) the matrix has
     B[T,T] = 1 - (k_T - 1)/d_T and B[T,U] = -sqrt(k_T k_U) / sqrt(d_T d_U) for
-    adjacent classes. With singleton classes sqrt(1) = 1 and 1 - 0/d = 1, so
-    B is the normalized Laplacian itself, bit for bit.
+    adjacent classes. With singleton classes and the edges as links, sqrt(1)
+    = 1 and 1 - 0/d = 1, so B is the normalized Laplacian itself, bit for bit.
     """
     weight = np.sqrt(size) * (1.0 / np.sqrt(degree))
-    us, vs = class_of[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
-    between = us != vs
-    us, vs = us[between], vs[between]
+    us, vs = np.array(links, dtype=np.intp).reshape(-1, 2).T
     m = np.diag(1.0 - (size - 1.0) / degree)
     m[us, vs] = m[vs, us] = -weight[us] * weight[vs]
     return m
@@ -238,10 +234,7 @@ def _quotient_laplacian(
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense symmetric matrix with M[i,i] = 1, M[i,j] = -1/sqrt(d_i d_j) for i~j."""
     _require_laplacian(g)
-    n = g.vertex_count
-    return _quotient_laplacian(
-        g.edges, np.arange(n), np.ones(n), np.asarray(g.degrees, dtype=float)
-    )
+    return _quotient_laplacian(g.edges, np.ones(g.vertex_count), np.asarray(g.degrees, dtype=float))
 
 
 def eig_sym(
@@ -293,21 +286,14 @@ def laplacian_spectrum(
     Ax = -x), and eig_sym solves only the quotient over the classes.
     """
     check_spectrum_input(g, max_order)
-    classes, sizes, degrees = g._twins
-    class_of = np.array(classes, dtype=np.intp)
+    _, sizes, degrees, links = g._twins
     size, degree = np.array(sizes, dtype=float), np.array(degrees, dtype=float)
     deflated: dict[float, int] = {}
     for k, d in zip(size[size > 1], degree[size > 1]):
         value = 1.0 + 1.0 / float(d)
         deflated[value] = deflated.get(value, 0) + int(k) - 1
-    quotient = eig_sym(
-        _quotient_laplacian(g.edges, class_of, size, degree),
-        cluster_tol=cluster_tol,
-        max_order=max_order,
-    )
-    return SpectrumMultiset.from_entries(
-        [*quotient.entries, *deflated.items()], cluster_tol=cluster_tol
-    )
+    quotient = eig_sym(_quotient_laplacian(links, size, degree), cluster_tol, max_order)
+    return SpectrumMultiset.from_entries([*quotient.entries, *deflated.items()], cluster_tol)
 
 
 def _locate(entries, target: float, tol: float) -> list[int]:

@@ -36,6 +36,11 @@ def graphs_with_twins(draw):
     return Graph(order, edges)
 
 
+def sparse_rows(matrix):
+    """The rows {column: entry} of a dense matrix, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def record_orders(monkeypatch, module, name):
     """Patch module.name to record the order of the matrix it gets first."""
     orders = []

@@ -327,6 +327,19 @@ class TestIndexes:
         )
         assert code == 3
 
+    def test_oracle_checks_the_exact_cap_before_the_float_solve(self, capsys, monkeypatch):
+        # the uncapped float solve of kf_star_direct must not run first: a
+        # tau over the cap takes precedence over a failure of that solve
+        def fail(lap):
+            raise AssertionError("float solve ran before the exact cap")
+
+        monkeypatch.setattr(indexes, "_shifted_inverse", fail)
+        code, out, err = run(
+            capsys,
+            "indexes", "--input", "petersen", "--n", "5", "--r", "2", "--route", "oracle",
+        )
+        assert (code, out, err) == (3, "", "error: order 205 exceeds exact cap 200\n")
+
     def test_exact_cap_bounds_the_twin_quotient(self, capsys):
         # N = 70 is over the cap, but the 15 cliques of 4 twins leave q = 25
         code, out, _ = run(

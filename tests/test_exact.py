@@ -25,7 +25,7 @@ from clique_blowup.blowup import BlowupParams, blowup_iterate
 from clique_blowup.corpus import default_corpus
 from clique_blowup.errors import NumericalFailureError, SizeCapExceededError
 from clique_blowup.indexes import tau_exact
-from conftest import record_orders
+from conftest import record_orders, sparse_rows
 
 int_matrices = arrays(
     np.int64, (4, 4), elements=st.integers(min_value=-6, max_value=6)
@@ -127,10 +127,6 @@ def test_bareiss_matches_sympy_on_random(matrix):
     check_against_sympy(matrix)
 
 
-def sparse_rows(matrix):
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
-
-
 @given(small_matrices)
 def test_modular_rank_matches_integer_rank(matrix):
     # every minor is below 2**31 in absolute value, so none vanishes mod p
@@ -144,12 +140,13 @@ def test_modular_rank_skips_empty_columns():
 
 @given(square_int_matrices)
 def test_modular_determinant_matches_bareiss(matrix):
-    assert modular_determinant(matrix) == bareiss_determinant(matrix)
+    # entries up to 2**70 are reduced as Python ints modulo each prime
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix)
 
 
 @given(sparse_int_matrices())
 def test_modular_determinant_matches_bareiss_on_sparse(matrix):
-    assert modular_determinant(matrix) == bareiss_determinant(matrix)
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix)
 
 
 # the largest order at which a dense matrix stays on the sparse loop
@@ -177,7 +174,7 @@ def laplacian_like_matrices(draw):
 
 @given(laplacian_like_matrices())
 def test_modular_determinant_matches_bareiss_on_laplacian_like(matrix):
-    assert modular_determinant(matrix) == bareiss_determinant(matrix)
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix)
 
 
 def dense_laplacian_minor(order: int) -> list[list[int]]:
@@ -190,7 +187,9 @@ def dense_laplacian_minor(order: int) -> list[list[int]]:
 )
 def test_fill_limit_sends_dense_matrices_to_the_numpy_loop(monkeypatch, order, dense):
     calls = record_orders(monkeypatch, _exact, "_dense_determinant")
-    assert modular_determinant(dense_laplacian_minor(order)) == (order + 1) ** (order - 1)
+    assert modular_determinant(sparse_rows(dense_laplacian_minor(order))) == (order + 1) ** (
+        order - 1
+    )
     assert calls == ([order] if dense else [])
 
 
@@ -216,10 +215,10 @@ def test_default_grid_minors_stay_on_the_sparse_loop(monkeypatch):
 def test_sparse_pivot_parity():
     # the pivots of columns 0, 1 (and 2) come from rows 1, 0 (and 2): odd
     with_swap = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
-    assert modular_determinant(with_swap) == bareiss_determinant(with_swap) == -5
+    assert modular_determinant(sparse_rows(with_swap)) == bareiss_determinant(with_swap) == -5
     # a 3-cycle of pivot rows is even
     cycle = [[0, 2, 0], [0, 0, 3], [5, 0, 0]]
-    assert modular_determinant(cycle) == bareiss_determinant(cycle) == 30
+    assert modular_determinant(sparse_rows(cycle)) == bareiss_determinant(cycle) == 30
 
 
 def test_non_unit_pivot_is_passed_over(monkeypatch):
@@ -228,7 +227,7 @@ def test_non_unit_pivot_is_passed_over(monkeypatch):
     p, q = _primes(2)
     matrix = [[p * q, 1], [1, 1]]
     calls = record_orders(monkeypatch, _exact, "_dense_determinant")
-    assert modular_determinant(matrix) == p * q - 1
+    assert modular_determinant(sparse_rows(matrix)) == p * q - 1
     assert calls == []
 
 
@@ -237,7 +236,7 @@ def test_column_without_unit_declines_and_stays_exact(monkeypatch):
     p, q = _primes(2)
     matrix = [[p * q, 1], [0, 3]]
     calls = record_orders(monkeypatch, _exact, "_dense_determinant")
-    assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p * q
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix) == 3 * p * q
     assert calls == [2]
 
 
@@ -248,32 +247,35 @@ def test_modular_determinant_pivot_vanishes_after_reordering():
     # whose entry below the pivot then vanishes mod p but not mod the others.
     p = _primes(1)[0]
     matrix = [[1 + p, 1, 1], [1, 1, 0], [2, 1, 3]]
-    assert modular_determinant(matrix) == bareiss_determinant(matrix) == 3 * p - 1
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix) == 3 * p - 1
 
 
 def test_modular_determinant_at_the_hadamard_bound():
     # |det H16| = 16**8 = 2**32 is exactly the Hadamard bound
     h = sylvester_hadamard(16)
-    assert modular_determinant(h) == 2**32
-    assert modular_determinant([h[1], h[0]] + h[2:]) == -(2**32)
+    assert modular_determinant(sparse_rows(h)) == 2**32
+    assert modular_determinant(sparse_rows([h[1], h[0]] + h[2:])) == -(2**32)
 
 
 def test_modular_determinant_with_unlucky_first_prime():
     # every entry of the first column vanishes mod the first prime used
     p = _primes(1)[0]
-    assert modular_determinant([[p, 0], [0, 3]]) == 3 * p
-    assert modular_determinant([[0, 1], [p, 5]]) == -p
+    assert modular_determinant([{0: p}, {1: 3}]) == 3 * p
+    assert modular_determinant([{1: 1}, {0: p, 1: 5}]) == -p
 
 
 def test_modular_determinant_of_empty_and_singular():
     assert modular_determinant([]) == 1
-    assert modular_determinant([[1, 2], [2, 4]]) == 0
-    assert modular_determinant([[2**70, 3], [0, 0]]) == 0
+    assert modular_determinant(sparse_rows([[1, 2], [2, 4]])) == 0
+    assert modular_determinant([{0: 2**70, 1: 3}, {}]) == 0
+    # an explicit zero entry is no nonzero: the second row is still a zero row
+    assert modular_determinant([{0: 2**70, 1: 3}, {1: 0}]) == 0
 
 
-def test_modular_determinant_rejects_non_square():
-    with pytest.raises(ValueError):
-        modular_determinant([[1, 2]])
+def test_modular_determinant_rejects_a_column_out_of_range():
+    for column in (-1, 2, 5):
+        with pytest.raises(ValueError, match=r"^column index outside 0\.\.1$"):
+            modular_determinant([{0: 1}, {column: 1}])
 
 
 def is_prime_by_trial_division(n: int) -> bool:

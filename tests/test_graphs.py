@@ -25,7 +25,7 @@ from clique_blowup import (
 )
 from clique_blowup.cli import main
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs_with_twins
 
 
 class TestGraphModel:
@@ -283,6 +283,28 @@ class TestTraversal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: operation requires a connected graph\n"
+
+
+class TestTwins:
+    @given(st.one_of(graphs_with_twins(), connected_graphs()))
+    def test_class_edges_join_classes_all_to_all(self, g):
+        class_of, size, degree, links = g._twins
+        members = [[v for v, c in enumerate(class_of) if c == t] for t in range(len(size))]
+        assert [len(m) for m in members] == list(size)
+        assert all({g.degrees[v] for v in m} == {degree[t]} for t, m in enumerate(members))
+        assert list(links) == sorted(set(links)) and all(t < u for t, u in links)
+        edges = set(g.edges)
+        for t in range(len(size)):
+            for u in range(t + 1, len(size)):
+                joined = [(min(v, w), max(v, w)) in edges for v in members[t] for w in members[u]]
+                assert all(joined) == any(joined) == ((t, u) in links)
+
+    def test_twin_free_graph_keeps_its_labels_and_edges(self):
+        g = petersen()
+        assert g._twins == (tuple(range(10)), (1,) * 10, (3,) * 10, g.edges)
+
+    def test_clique_is_one_class_with_no_class_edge(self):
+        assert gen_family("complete", 4)._twins == ((0, 0, 0, 0), (4,), (3,), ())
 
 
 class TestIncidenceRank:

@@ -39,7 +39,7 @@ from clique_blowup._exact import bareiss_determinant, fraction_inverse, modular_
 from clique_blowup.blowup import blowup_counts, count_sequence
 from clique_blowup.indexes import _combinatorial_laplacian
 
-from conftest import connected_graphs, graphs_with_twins, record_orders
+from conftest import connected_graphs, graphs_with_twins, record_orders, sparse_rows
 
 SIGMA_K2 = SpectrumMultiset(((Fraction(0), 1), (Fraction(2), 1)))
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -277,7 +277,7 @@ class TestTwinQuotient:
         size = g.vertex_count
         assert len(g._twins[1]) < size
         minor = _combinatorial_laplacian(g)[1:, 1:].tolist()
-        assert tau_exact(g) == modular_determinant(minor)
+        assert tau_exact(g) == modular_determinant(sparse_rows(minor))
         full = np.full((size, size), Fraction(0), dtype=object)
         full[1:, 1:] = fraction_inverse(minor)
         exact = kf_star_exact(g)
@@ -287,6 +287,34 @@ class TestTwinQuotient:
         reference = deg @ resistance_matrix(g) @ deg / 2
         tol = 64 * size * np.finfo(float).eps
         assert abs(kf_star_direct(g) - reference) <= tol * reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graphs_with_twins(), connected_graphs()))
+    def test_class_laplacian_is_indicator_product(self, g):
+        # L from the edges alone, then P^T L P with P the class indicator matrix
+        class_of, size, degree, links = g._twins
+        lap = np.diag(np.array(g.degrees, dtype=np.int64))
+        for u, v in g.edges:
+            lap[u, v] = lap[v, u] = -1
+        assert np.array_equal(_combinatorial_laplacian(g), lap)
+        p = np.zeros((g.vertex_count, len(size)), dtype=np.int64)
+        p[np.arange(g.vertex_count), class_of] = 1
+        assert np.array_equal(indexes._class_laplacian(links, size, degree), p.T @ lap @ p)
+
+    def test_tau_minor_rows_come_from_the_class_edges(self, monkeypatch):
+        # the sparse rows handed to the determinant are the grounded minor of L_w
+        blown = blowup_iterate(P3, BlowupParams(4, 2))
+        got = []
+
+        def spy(rows):
+            got.append(rows)
+            return modular_determinant(rows)
+
+        monkeypatch.setattr(indexes, "modular_determinant", spy)
+        assert tau_exact(blown) == tau_blowup_closed(1, 3, 2, BlowupParams(4, 2))
+        (rows,) = got
+        assert rows == sparse_rows(indexes._twin_laplacian(blown)[1:, 1:].tolist())
+        assert all(type(row) is dict for row in rows)
 
     def test_petersen_blowup_at_default_cap(self, monkeypatch):
         # N = 220 is over the default cap of 200; 90 pairs of twins leave q = 130

@@ -130,7 +130,38 @@ class TestEigSym:
             eig_sym(np.eye(5), max_order=4)
 
 
+def edge_remap_quotient(edges, class_of, size, degree):
+    """Reference: the quotient builder that maps every edge to its pair of classes."""
+    weight = np.sqrt(size) * (1.0 / np.sqrt(degree))
+    us, vs = class_of[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
+    between = us != vs
+    us, vs = us[between], vs[between]
+    m = np.diag(1.0 - (size - 1.0) / degree)
+    m[us, vs] = m[vs, us] = -weight[us] * weight[vs]
+    return m
+
+
+def assert_quotient_matches_edge_remap(g):
+    class_of, sizes, degrees, links = g._twins
+    size, degree = np.array(sizes, dtype=float), np.array(degrees, dtype=float)
+    built = spectral._quotient_laplacian(links, size, degree)
+    expected = edge_remap_quotient(g.edges, np.array(class_of, dtype=np.intp), size, degree)
+    assert built.shape == expected.shape
+    assert built.tobytes() == expected.tobytes()
+
+
 class TestTwinDeflation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graphs_with_twins(), connected_graphs()))
+    def test_quotient_from_class_edges_is_bit_identical(self, g):
+        assert_quotient_matches_edge_remap(g)
+
+    @pytest.mark.parametrize(
+        "spec, n, r", [("cycle:5", 4, 2), ("petersen", 8, 2), ("star:6", 5, 1)]
+    )
+    def test_blowup_quotient_is_bit_identical(self, spec, n, r):
+        assert_quotient_matches_edge_remap(blowup_iterate(graph_from_spec(spec), BlowupParams(n, r)))
+
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_twins())
     def test_matches_dense_eigensolve(self, g):
