@@ -187,9 +187,8 @@ def dense_laplacian_minor(order: int) -> list[list[int]]:
 )
 def test_fill_limit_sends_dense_matrices_to_the_numpy_loop(monkeypatch, order, dense):
     calls = record_orders(monkeypatch, _exact, "_dense_determinant")
-    assert modular_determinant(sparse_rows(dense_laplacian_minor(order))) == (order + 1) ** (
-        order - 1
-    )
+    minor = sparse_rows(dense_laplacian_minor(order))
+    assert modular_determinant(minor) == (order + 1) ** (order - 1)
     assert calls == ([order] if dense else [])
 
 
