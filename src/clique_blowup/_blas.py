@@ -1,4 +1,4 @@
-"""BLAS thread count of a command-line process, chosen by matrix order.
+"""numpy's bundled OpenBLAS through ctypes: its thread count and its dsyevd.
 
 The command line loads numpy with one BLAS thread (``cli`` sets the count
 before numpy loads). The twin quotients and grounded minors most commands
@@ -16,6 +16,14 @@ Only after ``enable()`` does it change anything: the command line calls it
 when it set the one-thread count itself, never when the user set a count,
 so library code keeps numpy's default. Where the OpenBLAS numpy loaded
 cannot be found (numpy built against another BLAS), the count stays one.
+
+``syevd()`` returns the same library's LAPACK ``dsyevd`` (the ILP64 build
+numpy's wheels bundle), the routine ``numpy.linalg.eigvalsh`` calls, so
+``spectral.eig_sym`` can solve an array in place instead of handing
+eigvalsh an array it always copies first. It binds the Fortran routine,
+not the ``LAPACKE_dsyevd`` wrapper: the wrapper's code lies apart from it
+in the library and faulted in 192 kB more of it on the default ``verify``.
+Where the symbol is missing it returns None and eig_sym calls eigvalsh.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import ctypes
 import glob
 import os
 from contextlib import contextmanager
+from functools import cache
 
 PARALLEL_ORDER = 800
 
@@ -34,19 +43,21 @@ _SETTERS = (
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
+# dsyevd of the ILP64 OpenBLAS in numpy's wheels (64-bit integers), which eigvalsh calls
+_SYEVD = "scipy_dsyevd_64_"
 
 _set_threads = None  # OpenBLAS's setter, once enable() found it
 _cores = 1
 
 
-def enable() -> None:
-    """Let threads_for raise the count of the OpenBLAS numpy has loaded."""
-    global _set_threads, _cores
+@cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS numpy has loaded, or None where it cannot be found."""
     import numpy
 
     rtld_noload = getattr(os, "RTLD_NOLOAD", None)
     if rtld_noload is None:
-        return
+        return None
     root = os.path.dirname(numpy.__file__)
     # where the numpy wheels keep their OpenBLAS (Linux, then macOS)
     for path in (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
@@ -55,23 +66,74 @@ def enable() -> None:
             lib = ctypes.CDLL(os.path.normpath(path), mode=rtld_noload)
         except OSError:
             continue
-        setter = next((getattr(lib, name) for name in _SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            _set_threads = setter
-            if hasattr(os, "sched_getaffinity"):
-                _cores = len(os.sched_getaffinity(0))
-            else:
-                _cores = os.cpu_count() or 1
-            # forked workers (verify --jobs) share the cores: one thread each
-            os.register_at_fork(after_in_child=_disable)
-            return
+        if any(hasattr(lib, name) for name in _SETTERS):
+            return lib
+    return None
+
+
+def enable() -> None:
+    """Let threads_for raise the count of the OpenBLAS numpy has loaded."""
+    global _set_threads, _cores
+    lib = _openblas()
+    if lib is None:
+        return
+    setter = next(getattr(lib, name) for name in _SETTERS if hasattr(lib, name))
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    _set_threads = setter
+    if hasattr(os, "sched_getaffinity"):
+        _cores = len(os.sched_getaffinity(0))
+    else:
+        _cores = os.cpu_count() or 1
+    # forked workers (verify --jobs) share the cores: one thread each
+    os.register_at_fork(after_in_child=_disable)
 
 
 def _disable() -> None:
     global _set_threads
     _set_threads = None
+
+
+@cache
+def syevd():
+    """LAPACK dsyevd of that OpenBLAS as ``solve(a, w) -> info``, or None where it is missing.
+
+    ``solve`` reads the lower triangle of the square float64 array ``a`` as
+    stored column-major, destroys it, and writes the eigenvalues, ascending,
+    to ``w``. Like eigvalsh it first asks dsyevd for its workspace
+    (lwork = -1) and then passes what dsyevd asked for, so the blocking,
+    and with it every bit, is eigvalsh's.
+    """
+    routine = getattr(_openblas(), _SYEVD, None)
+    if routine is None:
+        return None
+    import numpy as np
+
+    ref, long = ctypes.byref, ctypes.POINTER(ctypes.c_int64)
+    pointer, length = ctypes.c_void_p, ctypes.c_size_t
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then
+    # gfortran's hidden lengths of jobz and uplo
+    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, long, pointer, long, pointer,
+                        pointer, long, pointer, long, long, length, length]
+    routine.restype = None
+
+    def solve(a, w) -> int:
+        order, lead = ctypes.c_int64(len(a)), ctypes.c_int64(max(1, len(a)))
+        lwork, liwork, info = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_int64()
+        work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+
+        def call():
+            routine(b"N", b"L", ref(order), a.ctypes.data, ref(lead), w.ctypes.data,
+                    work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info),
+                    1, 1)
+
+        call()  # the workspace query
+        lwork.value, liwork.value = int(work[0]), int(iwork[0])
+        work, iwork = np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64)
+        call()
+        return info.value
+
+    return solve
 
 
 @contextmanager

@@ -88,8 +88,10 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
 
     Columns lie in 0 .. q-1 (else ValueError); the rows are not consumed.
     |det| <= B with B**2 = prod_i sum_j a_ij**2 over the nonzeros (Hadamard),
-    so for a product M of primes below 2**31 with M > 2B the residue mod M,
-    lifted to the symmetric range, is det. Rows and columns are first
+    and B may be the smaller prod_i a_ii where ``_dominant_diagonal`` finds
+    the matrix positive semidefinite. So for a product M of primes below
+    2**31 with M > 2B the residue mod M, lifted to the symmetric range, is
+    det. Rows and columns are first
     permuted by one symmetric permutation into ascending order of nonzero
     count, which leaves the determinant unchanged (det PAP^T = det A); on a
     graph Laplacian minor this eliminates the lowest-degree vertices first,
@@ -116,6 +118,9 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
         bound_sq *= sum(x * x for x in row.values())
     if not bound_sq:
         return 0  # a zero row
+    diagonal = _dominant_diagonal(rows)  # rows not all zero: every pivot is positive
+    if diagonal is not None:
+        bound_sq = min(bound_sq, diagonal * diagonal)
     order = sorted(range(size), key=lambda i: len(rows[i]))
     plist: list[int] = []
     modulus = 1
@@ -135,6 +140,26 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
         if _is_odd(pivot_rows):
             value = -value % modulus
     return value - modulus if 2 * value > modulus else value
+
+
+def _dominant_diagonal(rows: list[dict[int, int]]) -> int | None:
+    """prod_i a_ii where the rows are symmetric with a weakly dominant diagonal.
+
+    Dominance, 2 a_ii >= sum_j |a_ij|, makes the diagonal of nonzero rows
+    positive. By Gershgorin every eigenvalue then lies in some
+    [a_ii - r_i, a_ii + r_i] with r_i <= a_ii, so a symmetric such matrix
+    is positive semidefinite and Hadamard's inequality for those gives
+    det <= prod_i a_ii. A Laplacian minor is one. None for any other matrix.
+    """
+    product = 1
+    for i, row in enumerate(rows):
+        pivot = row.get(i, 0)
+        if 2 * pivot < sum(abs(x) for x in row.values()):
+            return None
+        if any(rows[j].get(i, 0) != x for j, x in row.items()):
+            return None
+        product *= pivot
+    return product
 
 
 def modular_rank(rows: list[dict[int, int]], width: int) -> int:

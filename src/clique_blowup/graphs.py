@@ -35,8 +35,8 @@ GRAPH_FAMILIES = ("complete", "path", "cycle", "star")
 class Graph:
     """Simple undirected graph with canonical integer labels.
 
-    The constructor normalizes and validates: pairs are reordered so u < v,
-    the edge list is sorted, self-loops and duplicates are rejected, and
+    The constructor normalizes and validates: pairs are reordered so u < v
+    (a tuple already in that order is kept as it is), the edge list is sorted, self-loops and duplicates are rejected, and
     every label must lie in [0, vertex_count). Isolated vertices are
     representable (vertex_count may exceed the labels used by edges).
     """
@@ -48,14 +48,19 @@ class Graph:
         if vertex_count < 0:
             raise InvalidParameterError("vertex_count must be non-negative")
         normalized = []
-        for u, v in edges:
+        for pair in edges:
+            u, v = pair
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidParameterError(
                     f"edge ({u}, {v}) outside label range [0, {vertex_count})"
                 )
-            normalized.append((u, v) if u < v else (v, u))
+            if u > v:
+                pair = (v, u)
+            elif type(pair) is not tuple:
+                pair = (u, v)
+            normalized.append(pair)  # a canonical tuple is kept, not copied
         normalized.sort()
         for prev, cur in zip(normalized, normalized[1:]):
             if prev == cur:

@@ -33,14 +33,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._blas import threads_for
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
+from . import _blas
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence, require_memory
 from .errors import (
     DegreeZeroError,
     InconsistentSpectrumError,
     InternalAssertionError,
     InvalidParameterError,
     NotSymmetricError,
+    NumericalFailureError,
     SizeCapExceededError,
 )
 from .graphs import Graph, require_connected
@@ -48,7 +49,7 @@ from .graphs import Graph, require_connected
 DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MATCH_TOL = 1e-7
 SYMMETRY_TOL = 1e-12
-SYMMETRY_BLOCK = 256
+SYMMETRY_BLOCK = 2**18  # bytes of the one buffer the symmetry check reuses
 
 Value = Fraction | float
 
@@ -237,34 +238,79 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     return _quotient_laplacian(g.edges, np.ones(g.vertex_count), np.asarray(g.degrees, dtype=float))
 
 
+def _asymmetry(matrix: np.ndarray) -> float:
+    """max |a_ij - a_ji|, NaN where an entry is NaN or a mirrored pair is infinite.
+
+    Row blocks go through one reused buffer of SYMMETRY_BLOCK bytes, so the
+    check adds that much to the matrix, not a second matrix.
+    """
+    order = len(matrix)
+    step = max(1, SYMMETRY_BLOCK // (8 * order)) if order else 1
+    buffer = np.empty((min(step, order), order))
+    block_max = []
+    with np.errstate(invalid="ignore"):
+        for i in range(0, order, step):
+            block = buffer[: min(step, order - i)]
+            np.subtract(matrix[i : i + step], matrix[:, i : i + step].T, out=block)
+            block_max.append(np.abs(block, out=block).max())
+    return float(np.max(block_max, initial=0.0))
+
+
+def _check_bytes(order: int) -> None:
+    """Raise SizeCapExceededError where one order x order array of doubles exceeds memory."""
+    require_memory(8 * order * order, f"a matrix of order {order}")
+
+
 def eig_sym(
     matrix: np.ndarray,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     max_order: int = DEFAULT_MAX_VERTICES,
+    *,
+    overwrite: bool = False,
 ) -> SpectrumMultiset:
     """Full spectrum of a dense symmetric matrix, clustered.
 
-    numpy.linalg.eigvalsh calls LAPACK syevd (tridiagonalize, then divide
-    and conquer), which is deterministic for a fixed input and thread
-    count; the test fixtures rely on that. The command line fixes the
-    count unless the user set it: one BLAS thread below order
-    ``_blas.PARALLEL_ORDER``, every core the process may use from there on.
+    LAPACK dsyevd (tridiagonalize, then divide and conquer) solves it
+    through ``_blas.syevd``: the routine numpy.linalg.eigvalsh calls on the
+    lower triangle of a copy of its argument. Here the copy is optional.
+    With ``overwrite=True`` dsyevd destroys ``matrix`` itself where that
+    gives eigvalsh's bits: a writeable C-contiguous float64 array whose
+    asymmetry is exactly 0.0, so that its upper triangle, which dsyevd reads
+    as the lower triangle of a column-major array, equals its lower one.
+    Any other array, and every array by default, is first copied to Fortran
+    order and left as it was. Where the routine is missing, eigvalsh solves it.
+
+    dsyevd is deterministic for a fixed input and thread count; the test
+    fixtures rely on that. The command line fixes the count unless the user
+    set it: one BLAS thread below order ``_blas.PARALLEL_ORDER``, every core
+    the process may use from there on. A NaN entry, or an infinite one
+    mirrored by itself, raises InvalidParameterError before the solve.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got {matrix.shape}")
-    _check_order(matrix.shape[0], max_order)
-    # row blocks keep the temporaries at SYMMETRY_BLOCK x N instead of N x N
-    step = SYMMETRY_BLOCK
-    block_max = [
-        np.max(np.abs(matrix[i : i + step] - matrix[:, i : i + step].T))
-        for i in range(0, len(matrix), step)
-    ]
-    deviation = float(np.max(block_max, initial=0.0))
+    order = matrix.shape[0]
+    _check_order(order, max_order)
+    deviation = _asymmetry(matrix)
     if deviation > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {deviation:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    with threads_for(len(matrix)):
-        values = np.linalg.eigvalsh(matrix)
+    if math.isnan(deviation):
+        raise InvalidParameterError("matrix has a non-finite entry")
+    syevd = _blas.syevd()
+    in_place = (overwrite and deviation == 0.0 and matrix.flags.c_contiguous
+                and matrix.flags.writeable)
+    if not in_place:
+        _check_bytes(order)  # the copy
+        if syevd is not None:
+            matrix = np.array(matrix, order="F")
+    with _blas.threads_for(order):
+        if syevd is None:
+            values = np.linalg.eigvalsh(matrix)
+        else:
+            values = np.empty(order)
+            info = syevd(matrix, values)
+            if info:
+                raise NumericalFailureError(f"dsyevd returned info {info}")
     return SpectrumMultiset.from_eigenvalues(values, cluster_tol=cluster_tol)
 
 
@@ -283,7 +329,8 @@ def laplacian_spectrum(
 
     A class of k true twins of degree d contributes 1 + 1/d with
     multiplicity k - 1 (on a vector x supported on the class with sum 0,
-    Ax = -x), and eig_sym solves only the quotient over the classes.
+    Ax = -x), and eig_sym solves only the quotient over the classes, in
+    place: the one q x q array this holds.
     """
     check_spectrum_input(g, max_order)
     _, sizes, degrees, links = g._twins
@@ -292,7 +339,11 @@ def laplacian_spectrum(
     for k, d in zip(size[size > 1], degree[size > 1]):
         value = 1.0 + 1.0 / float(d)
         deflated[value] = deflated.get(value, 0) + int(k) - 1
-    quotient = eig_sym(_quotient_laplacian(links, size, degree), cluster_tol, max_order)
+    _check_bytes(len(sizes))
+    # positional: record_orders and the benchmark's tracer read the matrix from args[0]
+    quotient = eig_sym(
+        _quotient_laplacian(links, size, degree), cluster_tol, max_order, overwrite=True
+    )
     return SpectrumMultiset.from_entries([*quotient.entries, *deflated.items()], cluster_tol)
 
 

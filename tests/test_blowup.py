@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,9 @@ from clique_blowup import (
     blowup_iterate,
     clique_blowup,
     gen_family,
+    graph_from_spec,
 )
+from clique_blowup import blowup
 
 from conftest import connected_graphs
 
@@ -122,6 +126,26 @@ class TestIterate:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceededError):
             blowup_iterate(gen_family("complete", 3), BlowupParams(5, 6))
+
+    def test_edge_bytes_are_capped_by_physical_memory(self, monkeypatch):
+        # K_3 at n=5 has 30 edges; never tested by allocating
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 30 * blowup.EDGE_BYTES - 1)
+        with pytest.raises(SizeCapExceededError, match="30 edges"):
+            blowup_iterate(gen_family("complete", 3), BlowupParams(5, 1))
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 30 * blowup.EDGE_BYTES)
+        assert blowup_iterate(gen_family("complete", 3), BlowupParams(5, 1)).edge_count == 30
+
+    def test_edge_bytes_cover_the_measured_peak(self):
+        # the prediction is an upper bound on what the construction allocates
+        g = graph_from_spec("petersen")
+        tracemalloc.start()
+        try:
+            blown = blowup_iterate(g, BlowupParams(8, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blown.edge_count == 11760
+        assert peak <= blowup.EDGE_BYTES * blown.edge_count
 
     def test_size_cap_is_configurable(self):
         blown = blowup_iterate(gen_family("complete", 3), BlowupParams(5, 1), max_vertices=12)

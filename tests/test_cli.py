@@ -11,6 +11,7 @@ import clique_blowup
 from clique_blowup import (
     BlowupParams,
     _blas,
+    blowup,
     blowup_counts,
     cli,
     eig_sym,
@@ -76,6 +77,18 @@ class TestBlowup:
         assert code == 3
         assert "cap" in err
 
+    def test_edge_bytes_over_physical_memory_exit_3(self, capsys, monkeypatch):
+        # K_20000 has 199,990,000 edges: refused before any is built
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 2**33)
+        built = []
+        monkeypatch.setattr(blowup, "clique_blowup", lambda *args: built.append(args))
+        code, out, err = run(capsys, "blowup", "--input", "complete:2", "--n", "20000")
+        assert (code, out, built) == (3, "", [])
+        assert err == (
+            f"error: a blowup with 199990000 edges would need {199990000 * blowup.EDGE_BYTES}"
+            " bytes, more than the 8589934592 of physical memory\n"
+        )
+
     def test_env_var_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CLIQUE_BLOWUP_MAX_VERTICES", "10")
         code, _, _ = run(capsys, "blowup", "--input", "complete:3", "--n", "5")
@@ -135,6 +148,19 @@ class TestSpectra:
         )
         assert code == 1
         assert "mismatch" in out
+
+    def test_quotient_over_physical_memory_exits_3(self, capsys, monkeypatch):
+        # cycle:200 at r=0 is twin-free: 200 edges fit, the order-200 quotient does not
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 100_000)
+        code, out, err = run(
+            capsys, "spectra", "--input", "cycle:200", "--n", "3", "--r", "0",
+            "--method", "numeric",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: a matrix of order 200 would need 320000 bytes,"
+            " more than the 100000 of physical memory\n"
+        )
 
     def test_json_is_deterministic(self, capsys):
         args = ("spectra", "--input", "cycle:4", "--n", "3", "--format", "json")
@@ -585,6 +611,16 @@ class TestVerify:
             "RESULT: PASS (66 checks, 0 failures, 0 skipped)\n"
         )
 
+    def test_a_blowup_over_physical_memory_is_a_skip(self, capsys, monkeypatch):
+        # cycle:5 n=3 r=1 has 15 edges; the base graph's 5 x 5 quotient still fits
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 15 * blowup.EDGE_BYTES - 1)
+        code, out, _ = run(
+            capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split() == ["cycle:5", "ok", "skip"]
+        assert out.endswith(" 0 failures, 1 skipped)\n")
+
     def test_default_grid_output_is_pinned(self, capsys):
         # complete:4 n=5,r=2 (q = 82) and petersen n=4,r=2 (q = 130) are within
         # the exact cap; only petersen n=5,r=2 (q = 205) skips its exact tau
@@ -802,6 +838,25 @@ class TestThreadPin:
             "print(_blas._set_threads, len(os.listdir('/proc/self/task')))\n"
         )
         assert run_child(code, OPENBLAS_NUM_THREADS="1") == "None 1\n"
+
+    @needs_two_cores
+    def test_in_place_solve_is_bit_identical_on_two_threads(self):
+        # below PARALLEL_ORDER on one thread, from it on every core, each side alike
+        code = (
+            "import clique_blowup.cli, numpy as np\n"
+            "from clique_blowup import SpectrumMultiset, _blas, eig_sym\n"
+            "SpectrumMultiset.from_eigenvalues = staticmethod(lambda values, **_: values)\n"
+            "rng = np.random.default_rng(3)\n"
+            "for order in (_blas.PARALLEL_ORDER - 1, _blas.PARALLEL_ORDER):\n"
+            "    lower = rng.standard_normal((order, order))\n"
+            "    m = np.tril(lower) + np.tril(lower, -1).T\n"
+            "    with _blas.threads_for(order):\n"
+            "        expected = np.linalg.eigvalsh(m).tobytes()\n"
+            "    print(eig_sym(m).tobytes() == expected,\n"
+            "          eig_sym(m, overwrite=True).tobytes() == expected)\n"
+            "print(_blas._cores > 1)\n"
+        )
+        assert run_child(code) == "True True\nTrue True\nTrue\n"
 
     def test_threads_for_brackets_every_large_factorization(self, monkeypatch):
         calls = []

@@ -22,7 +22,7 @@ from clique_blowup._exact import (
     modular_rank,
 )
 from clique_blowup.blowup import BlowupParams, blowup_iterate
-from clique_blowup.corpus import default_corpus
+from clique_blowup.corpus import default_corpus, graph_from_spec
 from clique_blowup.errors import NumericalFailureError, SizeCapExceededError
 from clique_blowup.indexes import tau_exact
 from conftest import record_orders, sparse_rows
@@ -254,6 +254,75 @@ def test_modular_determinant_at_the_hadamard_bound():
     h = sylvester_hadamard(16)
     assert modular_determinant(sparse_rows(h)) == 2**32
     assert modular_determinant(sparse_rows([h[1], h[0]] + h[2:])) == -(2**32)
+
+
+def block_diagonal(block, copies):
+    """Sparse rows of the block-diagonal matrix with the given 2 x 2 block repeated."""
+    (a, b), (c, d) = block
+    rows = []
+    for k in range(0, 2 * copies, 2):
+        rows += [{k: a, k + 1: b}, {k: c, k + 1: d}]
+    return rows
+
+
+def primes_used(monkeypatch):
+    """Record how many primes each modular_determinant call eliminates modulo."""
+    counts = []
+    eliminate = _exact._eliminate
+
+    def spy(rows, width, modulus):
+        counts.append(sum(1 for p in _primes(64) if modulus % p == 0))
+        return eliminate(rows, width, modulus)
+
+    monkeypatch.setattr(_exact, "_eliminate", spy)
+    return counts
+
+
+def test_a_laplacian_minor_takes_primes_for_its_diagonal_product(monkeypatch):
+    # cycle:40 at n=3: 40 vertices of degree 4 and 40 of degree 2. Grounded at a
+    # degree-4 vertex, prod a_ii = 2**40 * 4**39 needs M > 2**119, 4 primes;
+    # the Hadamard bound, near 2**136, would take 5.
+    g = blowup_iterate(graph_from_spec("cycle:40"), BlowupParams(3, 1))
+    laplacian = [[0] * 80 for _ in range(80)]
+    for u, v in g.edges:
+        laplacian[u][v] = laplacian[v][u] = -1
+        laplacian[u][u] += 1
+        laplacian[v][v] += 1
+    minor = sparse_rows([row[1:] for row in laplacian[1:]])
+    tau = tau_exact(g)
+    counts = primes_used(monkeypatch)
+    assert modular_determinant(minor) == tau
+    diagonal = math.prod(row[i] for i, row in enumerate(minor))
+    assert diagonal == 2**40 * 4**39
+    assert counts == [4]
+    assert math.prod(_primes(4)) ** 2 <= 4 * math.prod(sum(x * x for x in r.values()) for r in minor)
+
+
+@pytest.mark.parametrize(
+    "block, copies, det",
+    [
+        # dominant, positive diagonal, not symmetric: det 2**31 > prod a_ii = 1
+        (((1, 1), (-1, 1)), 31, 2**31),
+        # symmetric, positive diagonal, not dominant: det (-3)**20, prod a_ii = 1
+        (((1, 2), (2, 1)), 20, 3**20),
+        # symmetric and dominant: det (-2)**31 with a negative diagonal
+        (((1, 1), (1, -1)), 31, -(2**31)),
+    ],
+)
+def test_the_diagonal_bound_needs_a_positive_semidefinite_matrix(monkeypatch, block, copies, det):
+    # one prime would do for prod a_ii; det exceeds half of it, so a wrong
+    # bound lifts the residue to a wrong value
+    rows = block_diagonal(block, copies)
+    counts = primes_used(monkeypatch)
+    assert modular_determinant(rows) == det
+    assert counts[0] >= 2
+
+
+def test_modular_determinant_lifts_with_m_above_twice_the_bound():
+    # det = B = p - 1 for the largest prime p: M = p exceeds B, not 2B
+    p = _primes(1)[0]
+    assert modular_determinant([{0: p - 1}]) == p - 1
+    assert modular_determinant([{0: p - 1, 1: 1}, {0: 1, 1: 1}]) == p - 2
 
 
 def test_modular_determinant_with_unlucky_first_prime():

@@ -33,6 +33,16 @@ class TestGraphModel:
         g = Graph(3, [(2, 1), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
 
+    def test_keeps_canonical_tuples_and_rebuilds_the_rest(self):
+        class Pair(tuple):
+            pass
+
+        kept, flipped, listed, subclassed = (0, 1), (2, 0), [1, 2], Pair((0, 3))
+        g = Graph(4, [subclassed, listed, flipped, kept])
+        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2))
+        assert g.edges[0] is kept
+        assert all(type(e) is tuple for e in g.edges)
+
     def test_adjacency_and_degrees(self):
         g = gen_family("star", 4)
         assert g.adjacency == ((1, 2, 3), (0,), (0,), (0,))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clique_blowup import (
     BlowupParams,
@@ -31,7 +33,7 @@ from clique_blowup import (
     spectrum_by_theorem,
     spectrum_iterated,
 )
-from clique_blowup import spectral
+from clique_blowup import _blas, blowup, spectral
 from clique_blowup.blowup import count_sequence
 from clique_blowup.corpus import DEFAULT_CORPUS_SPECS
 from clique_blowup.spectral import SYMMETRY_BLOCK
@@ -113,9 +115,12 @@ class TestEigSym:
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_asymmetry_in_last_partial_block(self):
-        size = 2 * SYMMETRY_BLOCK + 7
+        # blocks of SYMMETRY_BLOCK bytes: 109 rows at order 300, the last one 82
+        size = 300
+        rows = SYMMETRY_BLOCK // (8 * size)
+        assert size // rows >= 2 and size % rows
         m = np.eye(size)
-        m[size - 1, 3] = 3e-9
+        m[size - 1, size - 2] = 3e-9
         deviation = float(np.max(np.abs(m - m.T)))
         with pytest.raises(NotSymmetricError) as excinfo:
             eig_sym(m)
@@ -128,6 +133,154 @@ class TestEigSym:
     def test_order_cap(self):
         with pytest.raises(SizeCapExceededError):
             eig_sym(np.eye(5), max_order=4)
+
+
+def raw_eig_sym(matrix, **kwargs):
+    """eig_sym's unclustered eigenvalue array."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpectrumMultiset, "from_eigenvalues", staticmethod(lambda values, **_: values))
+        return eig_sym(matrix, **kwargs)
+
+
+def mirrored(lower):
+    """The exactly symmetric matrix with the given lower triangle."""
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
+def quotient(g):
+    _, sizes, degrees, links = g._twins
+    return spectral._quotient_laplacian(
+        links, np.array(sizes, dtype=float), np.array(degrees, dtype=float)
+    )
+
+
+square_floats = st.integers(0, 12).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3, width=64))
+)
+needs_syevd = pytest.mark.skipif(_blas.syevd() is None, reason="needs numpy's OpenBLAS dsyevd")
+
+
+class TestInPlaceSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(square_floats)
+    def test_symmetric_in_place_is_bit_identical_to_eigvalsh(self, lower):
+        matrix = mirrored(lower)
+        expected = np.linalg.eigvalsh(matrix).tobytes()
+        assert raw_eig_sym(matrix.copy()).tobytes() == expected
+        assert raw_eig_sym(matrix.copy(), overwrite=True).tobytes() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(square_floats)
+    def test_slightly_asymmetric_reads_the_lower_triangle(self, lower):
+        assume(len(lower) >= 2)
+        matrix = mirrored(lower)
+        upper = np.triu_indices(len(matrix), 1)
+        matrix[upper] = np.nextafter(matrix[upper], np.inf)  # one ulp off: below SYMMETRY_TOL
+        kept = matrix.copy()
+        expected = np.linalg.eigvalsh(matrix).tobytes()
+        assert raw_eig_sym(matrix).tobytes() == expected
+        # overwrite=True solves such an array on a copy as well
+        assert raw_eig_sym(matrix, overwrite=True).tobytes() == expected
+        assert matrix.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)
+    def test_grid_quotients_are_bit_identical(self, spec):
+        base = graph_from_spec(spec)
+        for n in (3, 4, 5):
+            for r in (0, 1, 2):
+                matrix = quotient(blowup_iterate(base, BlowupParams(n, r)))
+                expected = np.linalg.eigvalsh(matrix).tobytes()
+                assert raw_eig_sym(matrix, overwrite=True).tobytes() == expected
+
+    def test_spectra_large_quotient_is_bit_identical(self):
+        matrix = quotient(blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2)))
+        assert len(matrix) == 520 and matrix.flags.c_contiguous
+        expected = np.linalg.eigvalsh(matrix).tobytes()
+        assert raw_eig_sym(matrix, overwrite=True).tobytes() == expected
+
+    def test_default_leaves_the_array_untouched(self):
+        matrix = quotient(blowup_iterate(graph_from_spec("petersen"), BlowupParams(4, 1)))
+        kept = matrix.copy()
+        eig_sym(matrix)
+        assert matrix.tobytes() == kept.tobytes()
+
+    @needs_syevd
+    def test_overwrite_solves_in_the_callers_array(self):
+        matrix = quotient(blowup_iterate(graph_from_spec("petersen"), BlowupParams(4, 1)))
+        kept = matrix.copy()
+        eig_sym(matrix, overwrite=True)
+        assert matrix.tobytes() != kept.tobytes()
+        # neither a Fortran-ordered array nor a read-only one is written
+        read_only = kept.copy()
+        read_only.flags.writeable = False
+        for other in (kept.copy(order="F"), read_only):
+            eig_sym(other, overwrite=True)
+            assert other.tobytes() == kept.tobytes()
+
+    @needs_syevd
+    def test_laplacian_spectrum_holds_one_quotient_array(self):
+        # eigvalsh's copy would double it: the peak stays below 1.5 arrays
+        g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
+        array_bytes = 8 * len(g._twins[1]) ** 2
+        tracemalloc.start()
+        try:
+            laplacian_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert array_bytes <= peak < 1.5 * array_bytes
+
+    @needs_syevd
+    def test_eigvalsh_is_not_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
+        assert laplacian_spectrum(g).multiplicity_at(8 / 7) == 2200
+        eig_sym(np.eye(3))
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_fallback_without_the_symbol_gives_the_same_bits(self, monkeypatch, overwrite):
+        rng = np.random.default_rng(7)
+        matrices = [mirrored(rng.standard_normal((k, k))) for k in (0, 1, 2, 9, 40)]
+        matrices.append(quotient(blowup_iterate(graph_from_spec("petersen"), BlowupParams(5, 1))))
+        solved = [raw_eig_sym(m.copy(), overwrite=overwrite).tobytes() for m in matrices]
+        monkeypatch.setattr(_blas, "syevd", lambda: None)
+        assert [raw_eig_sym(m.copy(), overwrite=overwrite).tobytes() for m in matrices] == solved
+
+    @pytest.mark.parametrize("symbol", [True, False])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize(
+        "cell, value",
+        [((0, 0), math.nan), ((0, 1), math.nan), ((1, 0), math.nan), ((1, 1), math.inf),
+         ((2, 2), -math.inf)],
+    )
+    def test_non_finite_entries_raise(self, monkeypatch, symbol, overwrite, cell, value):
+        if not symbol:
+            monkeypatch.setattr(_blas, "syevd", lambda: None)
+        matrix = np.eye(3)
+        matrix[cell] = value
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            eig_sym(matrix, overwrite=overwrite)
+        matrix = np.eye(3)
+        matrix[0, 1] = matrix[1, 0] = math.inf  # a mirrored pair
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            eig_sym(matrix, overwrite=overwrite)
+
+    def test_memory_cap_is_one_array_before_any_is_built(self, monkeypatch):
+        g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(4, 1))
+        order = len(g._twins[1])
+        built = record_orders(monkeypatch, spectral, "_quotient_laplacian")
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 8 * order * order - 1)
+        with pytest.raises(SizeCapExceededError, match="physical memory"):
+            laplacian_spectrum(g)
+        assert built == []
+        with pytest.raises(SizeCapExceededError, match="physical memory"):
+            eig_sym(np.eye(order))
+        monkeypatch.setattr(blowup, "physical_memory", lambda: 8 * order * order)
+        assert laplacian_spectrum(g).order == g.vertex_count
+        eig_sym(np.eye(order))
 
 
 def edge_remap_quotient(edges, class_of, size, degree):
