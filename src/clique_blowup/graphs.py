@@ -36,9 +36,10 @@ class Graph:
     """Simple undirected graph with canonical integer labels.
 
     The constructor normalizes and validates: pairs are reordered so u < v
-    (a tuple already in that order is kept as it is), the edge list is sorted, self-loops and duplicates are rejected, and
-    every label must lie in [0, vertex_count). Isolated vertices are
-    representable (vertex_count may exceed the labels used by edges).
+    (a tuple already in that order is kept as it is), the edge list is
+    sorted, self-loops and duplicates are rejected, and every label must lie
+    in [0, vertex_count). Isolated vertices are representable (vertex_count
+    may exceed the labels used by edges).
     """
 
     vertex_count: int
