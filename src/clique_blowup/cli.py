@@ -198,24 +198,15 @@ def cmd_indexes(args) -> int:
 
 def _route_deltas(reports) -> dict[str, float]:
     """Largest relative spread of each index across the computed routes."""
-    reports = list(reports)
-
-    def spread(values):
-        lo, hi = min(values), max(values)
-        return (hi - lo) / max(1.0, abs(hi))
-
-    return {
-        "kf_star": spread([float(rep.kf_star) for rep in reports]),
-        "kemeny": spread([float(rep.kemeny) for rep in reports]),
-        "tau": spread([float(rep.tau) for rep in reports]),
-    }
+    deltas = {}
+    for name in ("kf_star", "kemeny", "tau"):
+        values = [float(getattr(rep, name)) for rep in reports]
+        deltas[name] = (max(values) - min(values)) / max(1.0, abs(max(values)))
+    return deltas
 
 
 def _deltas_json(deltas: dict[str, float]) -> str:
-    return (
-        f'{{"kf_star":{deltas["kf_star"]:.3g},"kemeny":{deltas["kemeny"]:.3g},'
-        f'"tau":{deltas["tau"]:.3g}}}'
-    )
+    return "{" + ",".join(f'"{name}":{delta:.3g}' for name, delta in deltas.items()) + "}"
 
 
 def cmd_verify(args) -> int:

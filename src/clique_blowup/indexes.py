@@ -7,9 +7,10 @@ Three mutually checking routes:
 * oracle: resistance distances (Kf* = sum d_i d_j r_ij, summed by one
   identity on the float shifted and the exact grounded Laplacian inverse)
   and the exact matrix-tree determinant for tau, on the true-twin quotient
-  L_w = P^T L P over the classes of equal closed neighbourhoods, built from
-  the class edges of the graph as built: dense for the inverses, sparse
-  rows of the grounded minor for tau. A class of k twins of degree d enters
+  L_w = P^T L P over the classes of equal closed neighbourhoods, built once
+  as sparse rows from the class edges of the graph as built: the float
+  inverse fills them into one array, and the exact routines read their
+  grounded minor. A class of k twins of degree d enters
   through known factors (eigenvalue d + 1 with multiplicity k - 1), so a
   blowup, whose n - 2 new vertices per edge are twins, eliminates at order
   q, not N. A twin-free graph has q = N and L_w = L. The exact cap bounds
@@ -33,17 +34,27 @@ import numpy as np
 
 from ._blas import threads_for
 from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_within_cap
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
-from .errors import (
-    InternalAssertionError,
-    InvalidParameterError,
-    NumericalFailureError,
-)
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence, require_memory
+from .errors import InternalAssertionError, InvalidParameterError, NumericalFailureError
 from .graphs import Graph, require_connected
 from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
 
 ROUTES = ("spectral", "closed_form", "oracle")
 _BEYOND_DOUBLE = "{0} of the {1} route is beyond the double range (log10 {0} = {2:.1f})"
+
+# peak bytes of _shifted_inverse in q x q arrays of doubles, rounded up from the ru_maxrss
+# growth of kf_star_direct on cycle:q (2-vCPU x86-64): 4.78, 4.35, 4.11 at q = 800, 1500, 4000
+# on one BLAS thread, 5.10, 4.39, 4.13 on two; numpy's Cholesky and inverse copy in C
+INVERSE_ARRAYS = 6
+
+
+def _require_double(name: str, route: str, value: Fraction | int | float) -> None:
+    """Raise OverflowError, naming the index, its route and log10 of value, beyond a double."""
+    try:
+        float(value)
+    except OverflowError:
+        log10 = math.log10(value.numerator) - math.log10(value.denominator)
+        raise OverflowError(_BEYOND_DOUBLE.format(name, route, log10)) from None
 
 
 @dataclass(frozen=True)
@@ -65,12 +76,7 @@ class IndexReport:
         if self.route not in ROUTES:
             raise InvalidParameterError(f"route must be one of {ROUTES}")
         for name in ("kf_star", "kemeny", "tau"):
-            value = getattr(self, name)
-            try:
-                float(value)
-            except OverflowError:
-                log10 = math.log10(value.numerator) - math.log10(value.denominator)
-                raise OverflowError(_BEYOND_DOUBLE.format(name, self.route, log10)) from None
+            _require_double(name, self.route, getattr(self, name))
 
     def to_json(self) -> str:
         parts = [
@@ -137,47 +143,50 @@ def tau_spectral(g: Graph, sigma: SpectrumMultiset) -> float:
         raise OverflowError(_BEYOND_DOUBLE.format("tau", "spectral", log_tau / math.log(10)))
 
 
-def _class_laplacian(links, size, degree) -> np.ndarray:
-    """Integer P^T L P, P the indicator matrix of a partition into true-twin classes.
+def _laplacian_rows(links, size, degree) -> list[dict[int, int]]:
+    """Rows {column: entry} of the integer P^T L P, P the indicator matrix of true-twin classes.
 
     Adjacent classes T, U (``links`` holds each pair once) get -k_T k_U, and
     the diagonal k_T (d_T - k_T + 1) counts the edges leaving class T.
-    Singleton classes with the edges as links give L itself.
+    Singleton classes with the edges as links give L itself. Every index
+    oracle reads these rows; the exact ones drop class 0 (``_grounded``).
     """
-    k = np.array(size, dtype=np.int64)
-    lap = np.diag(k * (np.array(degree, dtype=np.int64) - k + 1))
-    us, vs = np.array(links, dtype=np.intp).reshape(-1, 2).T
-    lap[us, vs] = lap[vs, us] = -k[us] * k[vs]
-    return lap
+    rows = [{t: k * (d - k + 1)} for t, (k, d) in enumerate(zip(size, degree))]
+    for t, u in links:
+        rows[t][u] = rows[u][t] = -size[t] * size[u]
+    return rows
 
 
-def _combinatorial_laplacian(g: Graph) -> np.ndarray:
-    return _class_laplacian(g.edges, [1] * g.vertex_count, g.degrees)
-
-
-def _twin_laplacian(g: Graph, max_order: int | None = None) -> np.ndarray:
-    """Integer Laplacian L_w of the true-twin quotient, order q capped at max_order.
-
-    L_w is the Laplacian of the classes with weight k_T k_U between adjacent
-    classes T and U. A twin-free graph has q = N and L_w = L.
-    """
+def _quotient_rows(g: Graph, max_order: int | None = None) -> list[dict[int, int]]:
+    """Rows of L_w, the true-twin quotient of a connected g, its order q capped at max_order."""
     require_connected(g)
     _, size, degree, links = g._twins
     if max_order is not None:
         require_within_cap(len(size), max_order)
-    return _class_laplacian(links, size, degree)
+    return _laplacian_rows(links, size, degree)
 
 
-def _shifted_inverse(lap) -> np.ndarray:
-    """(L + J/q)^{-1} of the order-q Laplacian L of a connected (weighted) graph.
+def _grounded(rows) -> list[dict[int, int]]:
+    """The minor L[1:, 1:] of the rows, class 0 dropped."""
+    return [{u - 1: x for u, x in row.items() if u} for row in rows[1:]]
 
-    The shifted matrix is then positive definite, so it has a Cholesky
-    factor C (the factorization fails otherwise) and
-    (L + J/q)^{-1} = C^{-T} C^{-1}.
+
+def _shifted_inverse(rows) -> np.ndarray:
+    """(L + J/q)^{-1} of the rows of the Laplacian L of a connected (weighted) graph.
+
+    Its predicted bytes are checked first; then 1/q fills one array and each
+    entry of L is added. L + J/q is positive definite, so it has a Cholesky
+    factor C (the factorization fails otherwise) and (L + J/q)^{-1} = C^{-T} C^{-1}.
     """
-    shifted = np.asarray(lap, dtype=float)
-    shifted += 1.0 / len(shifted)
-    with threads_for(len(shifted)):
+    order = len(rows)
+    require_memory(INVERSE_ARRAYS * 8 * order * order, f"a shifted inverse of order {order}")
+    nonzeros = sum(map(len, rows))  # no Python list per entry: a dense L would outweigh the array
+    at = np.fromiter((order * i + j for i, row in enumerate(rows) for j in row), np.intp, nonzeros)
+    shifted = np.full(order * order, 1.0 / order)
+    shifted[at] += np.fromiter((x for row in rows for x in row.values()), float, nonzeros)
+    del at
+    shifted = shifted.reshape(order, order)
+    with threads_for(order):
         try:
             factor = np.linalg.cholesky(shifted)
             del shifted
@@ -229,7 +238,7 @@ def resistance_matrix(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> np.ndarra
     """
     require_connected(g)
     require_within_cap(g.vertex_count, max_order)
-    pinv = _shifted_inverse(_combinatorial_laplacian(g))
+    pinv = _shifted_inverse(_laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees))
     pinv -= 1.0 / g.vertex_count
     pinv += pinv.T  # numpy reads the overlapping operand as if copied first
     pinv /= 2.0
@@ -246,7 +255,7 @@ def kf_star_direct(g: Graph) -> float:
 
     S = (L_w + J/q)^{-1} by Cholesky gives the resistances of L_w.
     """
-    return float(_kf_star_twins(_shifted_inverse(_twin_laplacian(g)), g))
+    return float(_kf_star_twins(_shifted_inverse(_quotient_rows(g)), g))
 
 
 def kemeny_direct(g: Graph) -> float:
@@ -260,9 +269,9 @@ def kf_star_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> Fraction:
     S is the inverse of the integer minor L_w[1:, 1:] (as in ``tau_exact``),
     padded with zeros for class 0; it gives the resistances of L_w.
     """
-    lap = _twin_laplacian(g, max_order)
-    inverse = np.full(lap.shape, Fraction(0), dtype=object)
-    inverse[1:, 1:] = fraction_inverse(lap[1:, 1:].tolist())
+    minor = _grounded(_quotient_rows(g, max_order))
+    inverse = np.full((len(minor) + 1,) * 2, Fraction(0), dtype=object)
+    inverse[1:, 1:] = fraction_inverse([[row.get(u, 0) for u in range(len(minor))] for row in minor])
     return _kf_star_twins(inverse, g)
 
 
@@ -276,17 +285,11 @@ def tau_exact(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> int:
     tau = det(L_w[1:, 1:]) * prod_T (d_T + 1)^(k_T - 1) / prod_T k_T: the
     minor is a cofactor of the weighted quotient (weighted matrix-tree
     theorem), and each class adds d_T + 1 with multiplicity k_T - 1 to the
-    Laplacian spectrum. The minor is built as sparse rows from the class
-    edges, with no q x q array, and its determinant is exact at any size the
-    cap allows.
+    Laplacian spectrum. The minor stays sparse rows, with no q x q array,
+    and its determinant is exact at any size the cap allows.
     """
-    require_connected(g)
-    _, size, degree, links = g._twins
-    require_within_cap(len(size), max_order)
-    minor = [{t: k * (d - k + 1)} for t, (k, d) in enumerate(zip(size[1:], degree[1:]))]
-    for t, u in links:
-        if t:
-            minor[t - 1][u - 1] = minor[u - 1][t - 1] = -size[t] * size[u]
+    minor = _grounded(_quotient_rows(g, max_order))
+    _, size, degree, _ = g._twins
     twin_factor = math.prod((d + 1) ** (k - 1) for k, d in zip(size, degree))
     count, remainder = divmod(modular_determinant(minor) * twin_factor, math.prod(size))
     if remainder:
@@ -459,8 +462,15 @@ def compute(
     if route == "closed_form":
         kf0 = kf_star_exact(g, max_order=exact_cap)
         tau0 = tau_exact(g, max_order=exact_cap)
-        kf, ke, exps = _closed_form_lift(kf0, g.vertex_count, g.edge_count, params.n, params.r)[-1]
-        return IndexReport(kf, ke, _tau_count(tau0, params.n, exps), route, params)
+        kf, ke, (a, b) = _closed_form_lift(kf0, g.vertex_count, g.edge_count, params.n, params.r)[-1]
+        _require_double("kf_star", route, kf)
+        _require_double("kemeny", route, ke)
+        # 2^a n^b tau0 takes over a minute to form at depth: one clearly beyond a double
+        # (the largest is about 10^308.25) is refused by its log10 first
+        log10_tau = a * math.log10(2) + b * math.log10(params.n) + math.log10(tau0)
+        if log10_tau > 309:
+            raise OverflowError(_BEYOND_DOUBLE.format("tau", route, log10_tau))
+        return IndexReport(kf, ke, _tau_count(tau0, params.n, (a, b)), route, params)
     blown = blowup_iterate(g, params, max_vertices=max_vertices)
     if route == "spectral":
         sigma = laplacian_spectrum(blown, max_order=max_vertices)

@@ -270,15 +270,15 @@ def eig_sym(
 ) -> SpectrumMultiset:
     """Full spectrum of a dense symmetric matrix, clustered.
 
-    LAPACK dsyevd (tridiagonalize, then divide and conquer) solves it
-    through ``_blas.syevd``: the routine numpy.linalg.eigvalsh calls on the
-    lower triangle of a copy of its argument. Here the copy is optional.
-    With ``overwrite=True`` dsyevd destroys ``matrix`` itself where that
-    gives eigvalsh's bits: a writeable C-contiguous float64 array whose
-    asymmetry is exactly 0.0, so that its upper triangle, which dsyevd reads
-    as the lower triangle of a column-major array, equals its lower one.
-    Any other array, and every array by default, is first copied to Fortran
-    order and left as it was. Where the routine is missing, eigvalsh solves it.
+    LAPACK dsyevd (tridiagonalize, then divide and conquer) solves it: by
+    default through numpy.linalg.eigvalsh, which calls it on the lower
+    triangle of a copy and leaves ``matrix`` as it was. With
+    ``overwrite=True`` dsyevd, bound by ``_blas.syevd``, destroys ``matrix``
+    itself where that gives eigvalsh's bits: a writeable C-contiguous
+    float64 array whose asymmetry is exactly 0.0, so that its upper triangle,
+    which dsyevd reads as the lower triangle of a column-major array, equals
+    its lower one. Any other array, and every array where the routine is
+    missing, goes to eigvalsh.
 
     dsyevd is deterministic for a fixed input and thread count; the test
     fixtures rely on that. The command line fixes the count unless the user
@@ -297,14 +297,12 @@ def eig_sym(
     if math.isnan(deviation):
         raise InvalidParameterError("matrix has a non-finite entry")
     syevd = _blas.syevd()
-    in_place = (overwrite and deviation == 0.0 and matrix.flags.c_contiguous
-                and matrix.flags.writeable)
+    in_place = (syevd is not None and overwrite and deviation == 0.0
+                and matrix.flags.c_contiguous and matrix.flags.writeable)
     if not in_place:
-        _check_bytes(order)  # the copy
-        if syevd is not None:
-            matrix = np.array(matrix, order="F")
+        _check_bytes(order)  # eigvalsh's copy
     with _blas.threads_for(order):
-        if syevd is None:
+        if not in_place:
             values = np.linalg.eigvalsh(matrix)
         else:
             values = np.empty(order)

@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis strategies."""
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from clique_blowup import Graph, default_corpus
@@ -34,6 +35,15 @@ def graphs_with_twins(draw):
         edges.extend((u, order) for u in sorted(closed))
         order += 1
     return Graph(order, edges)
+
+
+def laplacian(g):
+    """Reference integer Laplacian D - A of g, from its edge list alone."""
+    us, vs = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    lap = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    lap[us, vs] = lap[vs, us] = -1
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
 
 
 def sparse_rows(matrix):

@@ -15,6 +15,7 @@ from clique_blowup import (
     blowup_counts,
     cli,
     eig_sym,
+    gen_family,
     indexes,
     tau_blowup_closed,
 )
@@ -356,7 +357,7 @@ class TestIndexes:
     def test_oracle_checks_the_exact_cap_before_the_float_solve(self, capsys, monkeypatch):
         # the uncapped float solve of kf_star_direct must not run first: a
         # tau over the cap takes precedence over a failure of that solve
-        def fail(lap):
+        def fail(rows):
             raise AssertionError("float solve ran before the exact cap")
 
         monkeypatch.setattr(indexes, "_shifted_inverse", fail)
@@ -494,6 +495,39 @@ class TestIndexes:
             f"error: tau of the {route} route is beyond the double range (log10 tau = {log10})\n"
         )
 
+    def test_deep_closed_form_tau_exits_3_without_forming_it(self):
+        # 2^a 3^b tau0 at r = 30 would have about 2e15 digits; its log10 is refused first
+        src = os.path.dirname(os.path.dirname(clique_blowup.__file__))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "clique_blowup.cli",
+                "indexes", "--input", "petersen", "--n", "3", "--r", "30",
+                "--route", "closed_form",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: tau of the closed_form route is beyond the double range"
+            " (log10 tau = 600804157058839.8)\n"
+        )
+
+    def test_shifted_inverse_over_physical_memory_exits_3(self, capsys, monkeypatch):
+        # petersen n=3 r=1 is twin-free: its 45 edges and exact tau fit, the float solve does not
+        need = indexes.INVERSE_ARRAYS * 8 * 25 * 25
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        code, out, err = run(
+            capsys, "indexes", "--input", "petersen", "--n", "3", "--r", "1", "--route", "oracle"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: a shifted inverse of order 25 would need {need} bytes,"
+            f" more than the {need - 1} of physical memory\n"
+        )
+
     @pytest.mark.parametrize("route", ["closed_form", "oracle", "spectral", "all"])
     @pytest.mark.parametrize("r", ["0", "1"])
     def test_edgeless_input_exits_2(self, capsys, route, r):
@@ -620,6 +654,23 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[1].split() == ["cycle:5", "ok", "skip"]
         assert out.endswith(" 0 failures, 1 skipped)\n")
+
+    def test_a_float_solve_over_physical_memory_is_a_skip(self, capsys, monkeypatch):
+        # the blowup of cycle:5 is twin-free at q = 10; its spectrum fits, its
+        # float Kf* does not, so the cell's checks stop there with one skip
+        need = indexes.INVERSE_ARRAYS * 8 * 10 * 10
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        code, out, _ = run(
+            capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split() == ["cycle:5", "ok", "ok"]
+        assert out.endswith(" 0 failures, 1 skipped)\n")
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        code, out, _ = run(
+            capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
+        )
+        assert out.endswith(" 0 failures, 0 skipped)\n")
 
     def test_default_grid_output_is_pinned(self, capsys):
         # complete:4 n=5,r=2 (q = 82) and petersen n=4,r=2 (q = 130) are within
@@ -863,13 +914,11 @@ class TestThreadPin:
         monkeypatch.setattr(_blas, "_set_threads", calls.append)
         monkeypatch.setattr(_blas, "_cores", 4)
         order = _blas.PARALLEL_ORDER
-        shift = np.roll(np.eye(order), 1, axis=1)
-        cycle = 2 * np.eye(order) - shift - shift.T  # Laplacian of the order-sized cycle
         eig_sym(np.eye(order - 1))
-        indexes._shifted_inverse(cycle[:-1, :-1])
+        indexes._shifted_inverse(indexes._quotient_rows(gen_family("cycle", order - 1)))
         assert calls == []
         eig_sym(np.eye(order))
-        indexes._shifted_inverse(cycle)
+        indexes._shifted_inverse(indexes._quotient_rows(gen_family("cycle", order)))
         assert calls == [4, 1, 4, 1]
 
     def test_package_import_loads_no_numpy_and_sets_nothing(self):

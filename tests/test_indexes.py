@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,12 +35,11 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
-from clique_blowup import indexes
+from clique_blowup import blowup, indexes
 from clique_blowup._exact import bareiss_determinant, fraction_inverse, modular_determinant
 from clique_blowup.blowup import blowup_counts, count_sequence
-from clique_blowup.indexes import _combinatorial_laplacian
 
-from conftest import connected_graphs, graphs_with_twins, record_orders, sparse_rows
+from conftest import connected_graphs, graphs_with_twins, laplacian, record_orders, sparse_rows
 
 SIGMA_K2 = SpectrumMultiset(((Fraction(0), 1), (Fraction(2), 1)))
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -49,6 +49,19 @@ K3 = gen_family("complete", 3)
 K4 = gen_family("complete", 4)
 C4 = gen_family("cycle", 4)
 P3 = gen_family("path", 3)
+
+
+def dense(rows):
+    """The square integer matrix of rows {column: entry}."""
+    return np.array([[row.get(j, 0) for j in range(len(rows))] for row in rows], dtype=np.int64)
+
+
+def class_product(g):
+    """Reference P^T L P, P the indicator matrix of g's true-twin classes."""
+    class_of, size, _, _ = g._twins
+    p = np.zeros((g.vertex_count, len(size)), dtype=np.int64)
+    p[np.arange(g.vertex_count), class_of] = 1
+    return p.T @ laplacian(g) @ p
 
 
 class TestSpectralFormulas:
@@ -115,7 +128,7 @@ class TestResistance:
         blown = blowup_iterate(gen_family("cycle", 5), BlowupParams(4, 2))
         for g in [g for _, g in corpus] + [blown]:
             size = g.vertex_count
-            shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / size
+            shifted = laplacian(g).astype(float) + 1.0 / size
             inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
             pinv = inv_factor.T @ inv_factor - 1.0 / size
             pinv = (pinv + pinv.T) / 2.0
@@ -130,7 +143,7 @@ class TestResistance:
         def not_called(*args):
             raise AssertionError("Laplacian built or inverted over the cap")
 
-        monkeypatch.setattr(indexes, "_combinatorial_laplacian", not_called)
+        monkeypatch.setattr(indexes, "_laplacian_rows", not_called)
         monkeypatch.setattr(indexes, "_shifted_inverse", not_called)
         with pytest.raises(SizeCapExceededError, match="^order 10 exceeds exact cap 9$"):
             resistance_matrix(petersen(), max_order=9)
@@ -138,7 +151,7 @@ class TestResistance:
     def test_indefinite_shifted_laplacian_raises(self, monkeypatch):
         # L + J/N = [[0.5, -4.5], [-4.5, 0.5]] has no Cholesky factor
         monkeypatch.setattr(
-            indexes, "_combinatorial_laplacian", lambda g: [[0, -5], [-5, 0]]
+            indexes, "_laplacian_rows", lambda links, size, degree: [{0: 0, 1: -5}, {0: -5, 1: 0}]
         )
         with pytest.raises(NumericalFailureError, match="shifted Laplacian solve"):
             resistance_matrix(K2)
@@ -193,7 +206,7 @@ class TestOracles:
         # sympy inverts S, so the reference shares no code with kf_star_exact
         size, deg = g.vertex_count, g.degrees
         shift = sympy.Rational(1, size)
-        lap = _combinatorial_laplacian(g).tolist()
+        lap = laplacian(g).tolist()
         s = sympy.Matrix(size, size, lambda i, j: lap[i][j] + shift).inv()
         definition = sum(
             (
@@ -239,7 +252,7 @@ class TestOracles:
                         continue
                     blown = blowup_iterate(g, params)
                     # Python ints: np.int64 entries overflow in Bareiss
-                    minor = _combinatorial_laplacian(blown)[1:, 1:].tolist()
+                    minor = laplacian(blown)[1:, 1:].tolist()
                     assert tau_exact(blown) == bareiss_determinant(minor)
                     checked += 1
         assert checked >= 30
@@ -264,6 +277,41 @@ class TestOracles:
         assert kemeny_direct(K3) == pytest.approx(4 / 3)
 
 
+class TestFloatOracleMemory:
+    """The float solve fills L + J/q into one array and checks its bytes first."""
+
+    def test_kf_direct_peak_is_two_arrays(self):
+        # cycle:500 is twin-free, q = 500: no integer Laplacian beside the float one
+        g = gen_family("cycle", 500)
+        array_bytes = 8 * len(g._twins[1]) ** 2
+        tracemalloc.start()
+        try:
+            kf_star_direct(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * array_bytes
+
+    def test_byte_cap_fires_before_any_array_is_built(self, monkeypatch):
+        g = gen_family("cycle", 500)
+        array_bytes = 8 * len(g._twins[1]) ** 2
+        need = indexes.INVERSE_ARRAYS * array_bytes
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceededError, match="^a shifted inverse of order 500 "):
+                kf_star_direct(g)
+            with pytest.raises(SizeCapExceededError, match="physical memory"):
+                resistance_matrix(g, max_order=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes / 4
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        # every degree is 2, and the Kirchhoff index of the cycle C_q is (q^3 - q)/12
+        assert kf_star_direct(g) == pytest.approx(4 * (500**3 - 500) / 12, rel=1e-9)
+
+
 class TestTwinQuotient:
     """The oracles eliminate at the order q of the true-twin quotient, not N.
 
@@ -276,7 +324,7 @@ class TestTwinQuotient:
     def test_reduced_routes_equal_full_order(self, g):
         size = g.vertex_count
         assert len(g._twins[1]) < size
-        minor = _combinatorial_laplacian(g)[1:, 1:].tolist()
+        minor = laplacian(g)[1:, 1:].tolist()
         assert tau_exact(g) == modular_determinant(sparse_rows(minor))
         full = np.full((size, size), Fraction(0), dtype=object)
         full[1:, 1:] = fraction_inverse(minor)
@@ -291,15 +339,12 @@ class TestTwinQuotient:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(graphs_with_twins(), connected_graphs()))
     def test_class_laplacian_is_indicator_product(self, g):
-        # L from the edges alone, then P^T L P with P the class indicator matrix
-        class_of, size, degree, links = g._twins
-        lap = np.diag(np.array(g.degrees, dtype=np.int64))
-        for u, v in g.edges:
-            lap[u, v] = lap[v, u] = -1
-        assert np.array_equal(_combinatorial_laplacian(g), lap)
-        p = np.zeros((g.vertex_count, len(size)), dtype=np.int64)
-        p[np.arange(g.vertex_count), class_of] = 1
-        assert np.array_equal(indexes._class_laplacian(links, size, degree), p.T @ lap @ p)
+        # the rows made dense: L from the edges alone, and P^T L P with P the
+        # class indicator matrix
+        _, size, degree, links = g._twins
+        singletons = indexes._laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees)
+        assert np.array_equal(dense(singletons), laplacian(g))
+        assert np.array_equal(dense(indexes._laplacian_rows(links, size, degree)), class_product(g))
 
     def test_tau_minor_rows_come_from_the_class_edges(self, monkeypatch):
         # the sparse rows handed to the determinant are the grounded minor of L_w
@@ -313,7 +358,7 @@ class TestTwinQuotient:
         monkeypatch.setattr(indexes, "modular_determinant", spy)
         assert tau_exact(blown) == tau_blowup_closed(1, 3, 2, BlowupParams(4, 2))
         (rows,) = got
-        assert rows == sparse_rows(indexes._twin_laplacian(blown)[1:, 1:].tolist())
+        assert rows == sparse_rows(class_product(blown)[1:, 1:].tolist())
 
     def test_petersen_blowup_at_default_cap(self, monkeypatch):
         # N = 220 is over the default cap of 200; 90 pairs of twins leave q = 130
@@ -344,7 +389,7 @@ class TestTwinQuotient:
     def test_twin_free_float_kf_is_unchanged(self):
         # with q = N the quotient is L itself and the twin term is exactly 0
         g = blowup_iterate(petersen(), BlowupParams(3, 1))
-        shifted = np.asarray(_combinatorial_laplacian(g), dtype=float) + 1.0 / g.vertex_count
+        shifted = laplacian(g).astype(float) + 1.0 / g.vertex_count
         inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
         expected = indexes._kf_star_identity(inv_factor.T @ inv_factor, g.degrees)
         assert kf_star_direct(g) == float(expected)
@@ -517,7 +562,7 @@ class TestSingleShotKemenyDeviation:
     """
 
     def test_single_shot_disagreement_raises(self, monkeypatch):
-        from clique_blowup import indexes
+        from clique_blowup import blowup, indexes
 
         def tampered(expression):
             return lambda *args: expression(*args) + Fraction(1, 7)

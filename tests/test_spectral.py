@@ -238,7 +238,6 @@ class TestInPlaceSolve:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
         assert laplacian_spectrum(g).multiplicity_at(8 / 7) == 2200
-        eig_sym(np.eye(3))
 
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_fallback_without_the_symbol_gives_the_same_bits(self, monkeypatch, overwrite):
