@@ -46,6 +46,8 @@ _BEYOND_DOUBLE = "{0} of the {1} route is beyond the double range (log10 {0} = {
 # growth of kf_star_direct on cycle:q (2-vCPU x86-64): 4.78, 4.35, 4.11 at q = 800, 1500, 4000
 # on one BLAS thread, 5.10, 4.39, 4.13 on two; numpy's Cholesky and inverse copy in C
 INVERSE_ARRAYS = 6
+# tracemalloc bytes per nonzero of the rows, rounded up: 32-43 on G(q, 0.5), 55-110 on sparse graphs
+ROW_BYTES = 120
 
 
 def _require_double(name: str, route: str, value: Fraction | int | float) -> None:
@@ -179,8 +181,9 @@ def _shifted_inverse(rows) -> np.ndarray:
     factor C (the factorization fails otherwise) and (L + J/q)^{-1} = C^{-T} C^{-1}.
     """
     order = len(rows)
-    require_memory(INVERSE_ARRAYS * 8 * order * order, f"a shifted inverse of order {order}")
     nonzeros = sum(map(len, rows))  # no Python list per entry: a dense L would outweigh the array
+    need = INVERSE_ARRAYS * 8 * order * order + ROW_BYTES * nonzeros
+    require_memory(need, f"a shifted inverse of order {order}")
     at = np.fromiter((order * i + j for i, row in enumerate(rows) for j in row), np.intp, nonzeros)
     shifted = np.full(order * order, 1.0 / order)
     shifted[at] += np.fromiter((x for row in rows for x in row.values()), float, nonzeros)

@@ -516,8 +516,9 @@ class TestIndexes:
         )
 
     def test_shifted_inverse_over_physical_memory_exits_3(self, capsys, monkeypatch):
-        # petersen n=3 r=1 is twin-free: its 45 edges and exact tau fit, the float solve does not
-        need = indexes.INVERSE_ARRAYS * 8 * 25 * 25
+        # petersen n=3 r=1 is twin-free: its 45 edges and exact tau fit, the float solve of
+        # its 25 x 25 Laplacian (115 nonzeros) does not
+        need = indexes.INVERSE_ARRAYS * 8 * 25 * 25 + indexes.ROW_BYTES * 115
         monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
         code, out, err = run(
             capsys, "indexes", "--input", "petersen", "--n", "3", "--r", "1", "--route", "oracle"
@@ -642,29 +643,31 @@ class TestVerify:
             "graph       structural  n=3,r=1  n=3,r=2\n"
             "complete:2  ok          ok       ok     \n"
             "cycle:4     ok          ok       ok     \n"
-            "RESULT: PASS (66 checks, 0 failures, 0 skipped)\n"
+            "RESULT: PASS (62 checks, 0 failures, 0 skipped)\n"
         )
 
     def test_a_blowup_over_physical_memory_is_a_skip(self, capsys, monkeypatch):
-        # cycle:5 n=3 r=1 has 15 edges; the base graph's 5 x 5 quotient still fits
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 15 * blowup.EDGE_BYTES - 1)
+        # cycle:5 n=5 r=1 has 50 edges; the base graph's 5 x 5 float solve still fits
+        limit = 50 * blowup.EDGE_BYTES - 1
+        assert indexes.INVERSE_ARRAYS * 8 * 5 * 5 + indexes.ROW_BYTES * 15 <= limit
+        monkeypatch.setattr(blowup, "physical_memory", lambda: limit)
         code, out, _ = run(
-            capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
+            capsys, "verify", "--corpus", "cycle:5", "--n-list", "5", "--r-list", "1",
         )
         assert code == 0
         assert out.splitlines()[1].split() == ["cycle:5", "ok", "skip"]
         assert out.endswith(" 0 failures, 1 skipped)\n")
 
     def test_a_float_solve_over_physical_memory_is_a_skip(self, capsys, monkeypatch):
-        # the blowup of cycle:5 is twin-free at q = 10; its spectrum fits, its
-        # float Kf* does not, so the cell's checks stop there with one skip
-        need = indexes.INVERSE_ARRAYS * 8 * 10 * 10
+        # the blowup of cycle:5 is twin-free at q = 10 (40 nonzeros); its spectrum
+        # fits, its float Kf* does not, so the cell stops there with one skip: part
+        need = indexes.INVERSE_ARRAYS * 8 * 10 * 10 + indexes.ROW_BYTES * 40
         monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
         code, out, _ = run(
             capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
         )
         assert code == 0
-        assert out.splitlines()[1].split() == ["cycle:5", "ok", "ok"]
+        assert out.splitlines()[1].split() == ["cycle:5", "ok", "part"]
         assert out.endswith(" 0 failures, 1 skipped)\n")
         monkeypatch.setattr(blowup, "physical_memory", lambda: need)
         code, out, _ = run(
@@ -674,17 +677,33 @@ class TestVerify:
 
     def test_default_grid_output_is_pinned(self, capsys):
         # complete:4 n=5,r=2 (q = 82) and petersen n=4,r=2 (q = 130) are within
-        # the exact cap; only petersen n=5,r=2 (q = 205) skips its exact tau
+        # the exact cap; only petersen n=5,r=2 (q = 205) skips its exact tau,
+        # and so its two tau checks: that cell reads part
         code, out, _ = run(capsys, "verify")
         assert code == 0
         ok_row = "ok          ok       ok       ok       ok       ok       ok     "
         names = ["complete:2", "path:3", "path:4", "cycle:4", "cycle:5",
-                 "complete:3", "complete:4", "star:5", "petersen"]
+                 "complete:3", "complete:4", "star:5"]
         assert out == (
             "graph       structural  n=3,r=1  n=3,r=2  n=4,r=1  n=4,r=2  n=5,r=1  n=5,r=2\n"
             + "".join(f"{name:<12}{ok_row}\n" for name in names)
-            + "RESULT: PASS (686 checks, 0 failures, 1 skipped)\n"
+            + f"{'petersen':<12}{ok_row[:-7]}part   \n"
+            + "RESULT: PASS (634 checks, 0 failures, 1 skipped)\n"
         )
+
+    def test_tau_over_the_exact_cap_skips_only_the_tau_checks(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--corpus", "petersen", "--n-list", "5", "--r-list", "2"
+        )
+        assert code == 0
+        assert out.splitlines()[1].split() == ["petersen", "ok", "part"]
+        assert out.endswith("RESULT: PASS (19 checks, 0 failures, 1 skipped)\n")
+        report = clique_blowup.run_verification([("petersen", clique_blowup.petersen())], [5], [2])
+        cell = {r.check: r for r in report.results if r.subject == "petersen n=5,r=2"}
+        assert cell["cell"].skipped and cell["cell"].detail.startswith("skipped: order 205 ")
+        for check in ("blowup-kf-oracle", "blowup-kemeny-oracle", "closed-vs-oracle-kf"):
+            assert cell[check].passed and not cell[check].skipped
+        assert "closed-vs-oracle-tau" not in cell and "blowup-tau-oracle" not in cell
 
     def test_deep_grid_forms_no_tree_count(self, capsys, monkeypatch):
         # the cell is over the vertex cap, and the monotonicity check compares
@@ -707,7 +726,7 @@ class TestVerify:
             "--exact-cap", "50",
         )
         assert code == 0
-        assert out.endswith("RESULT: PASS (22 checks, 0 failures, 0 skipped)\n")
+        assert out.endswith("RESULT: PASS (21 checks, 0 failures, 0 skipped)\n")
 
     def test_tau_beyond_float_range_is_checked_by_its_log(self, capsys):
         # q = 205 is within the cap, and log10 tau = 308.7 is beyond a double
@@ -717,7 +736,7 @@ class TestVerify:
             "--exact-cap", "600",
         )
         assert (code, err) == (0, "")
-        assert out.endswith("RESULT: PASS (21 checks, 0 failures, 0 skipped)\n")
+        assert out.endswith("RESULT: PASS (20 checks, 0 failures, 0 skipped)\n")
 
     def test_failing_graph_fails_its_cells(self, capsys):
         # path:1 has an isolated vertex: its structural checks and its one
@@ -730,7 +749,7 @@ class TestVerify:
             "graph   structural  n=3,r=1\n"
             "path:1  FAIL        FAIL   \n"
             "path:3  ok          ok     \n"
-            "RESULT: FAIL (25 checks, 2 failures, 0 skipped)\n"
+            "RESULT: FAIL (24 checks, 2 failures, 0 skipped)\n"
         )
         assert err == (
             "first failure: structural on path:1: "

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from clique_blowup import (
     BlowupParams,
+    Graph,
     InternalAssertionError,
     InvalidParameterError,
     bipartition,
@@ -21,7 +22,7 @@ from clique_blowup import (
     laplacian_spectrum,
     run_verification,
 )
-from clique_blowup import graphs, indexes, verify
+from clique_blowup import blowup, graphs, indexes, verify
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
 from conftest import graphs_with_twins, record_orders
@@ -61,6 +62,25 @@ class TestHarness:
         g = gen_family("complete", 3)
         results = cell_checks("complete:3", g, base_facts(g), 5, 1)
         assert results and all(r.passed for r in results)
+
+    def test_rewired_first_level_fails_blowup_degrees(self, monkeypatch):
+        # on cycle:4, vertex 4 is the new vertex of edge (0, 1); moving its edge
+        # (1, 4) to (2, 4) keeps both counts, and the level built on it is honest,
+        # so only the closed-form degrees of level 2 can tell
+        g = gen_family("cycle", 4)
+        honest = blowup.clique_blowup
+
+        def rewired(h, n):
+            out = honest(h, n)
+            if h is not g:
+                return out
+            return Graph(out.vertex_count, [(2, 4) if e == (1, 4) else e for e in out.edges])
+
+        monkeypatch.setattr(blowup, "clique_blowup", rewired)
+        results = cell_checks("cycle:4", g, base_facts(g), 3, 2)
+        degrees = [r for r in results if r.check == "blowup-degrees"]
+        assert len(degrees) == 1 and not degrees[0].passed
+        assert degrees[0].detail == "N, E (20, 36) vs (20, 36)"
 
     def test_cell_skips_over_cap(self):
         g = gen_family("complete", 3)

@@ -295,7 +295,7 @@ class TestFloatOracleMemory:
     def test_byte_cap_fires_before_any_array_is_built(self, monkeypatch):
         g = gen_family("cycle", 500)
         array_bytes = 8 * len(g._twins[1]) ** 2
-        need = indexes.INVERSE_ARRAYS * array_bytes
+        need = indexes.INVERSE_ARRAYS * array_bytes + indexes.ROW_BYTES * 1500  # 3 nonzeros a row
         monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
         tracemalloc.start()
         try:
@@ -310,6 +310,33 @@ class TestFloatOracleMemory:
         monkeypatch.setattr(blowup, "physical_memory", lambda: need)
         # every degree is 2, and the Kirchhoff index of the cycle C_q is (q^3 - q)/12
         assert kf_star_direct(g) == pytest.approx(4 * (500**3 - 500) / 12, rel=1e-9)
+
+    def test_byte_cap_counts_the_rows_of_a_dense_quotient(self, monkeypatch):
+        # G(120, 1/2) plus a path is twin-free, and its rows hold about 7,300
+        # nonzeros: about 2 q x q arrays of doubles, beside the solve's own
+        rng = random.Random(1)
+        q = 120
+        edges = {(i, i + 1) for i in range(q - 1)}
+        edges |= {(i, j) for i in range(q) for j in range(i + 1, q) if rng.random() < 0.5}
+        g = Graph(q, edges)
+        assert len(g._twins[1]) == q
+        arrays = indexes.INVERSE_ARRAYS * 8 * q * q
+        rows = indexes.ROW_BYTES * (q + 2 * g.edge_count)
+        monkeypatch.setattr(blowup, "physical_memory", lambda: arrays + rows - 1)
+        tracemalloc.start()
+        try:
+            indexes._quotient_rows(g)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(SizeCapExceededError, match=f"would need {arrays + rows} bytes"):
+                kf_star_direct(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the rows, less than a quarter of one q x q array of doubles
+        assert peak < built + 2 * q * q
+        monkeypatch.setattr(blowup, "physical_memory", lambda: arrays + rows)
+        assert kf_star_direct(g) == pytest.approx(float(kf_star_exact(g)), rel=1e-9)
 
 
 class TestTwinQuotient:
