@@ -66,7 +66,7 @@ class TestHarness:
     def test_rewired_first_level_fails_blowup_degrees(self, monkeypatch):
         # on cycle:4, vertex 4 is the new vertex of edge (0, 1); moving its edge
         # (1, 4) to (2, 4) keeps both counts, and the level built on it is honest,
-        # so only the closed-form degrees of level 2 can tell
+        # so a degree check between levels 1 and 2 alone would pass it
         g = gen_family("cycle", 4)
         honest = blowup.clique_blowup
 
