@@ -4,11 +4,10 @@
 of word-sized primes whose count comes from the Hadamard bound, so the
 result is certified, not probabilistic. It takes sparse rows
 ``{column: entry}``, as ``modular_rank`` does, and is structured Gaussian
-elimination: a pass over the nonzero pattern predicts the fill, and a matrix
-that stays sparse, such as a blowup's Laplacian minor, is eliminated in
-Python on those rows modulo M, with the lowest-degree rows first. Only a
-matrix that fills in becomes a dense array, for a numpy loop that eliminates
-modulo every prime at once and recovers the value by the Chinese remainder
+elimination in one pass: Python pivots on those rows modulo M, lowest-degree
+rows first, until a pivot's update would pass a fill budget. Only the rows
+left then become a dense array, for a numpy loop that eliminates modulo
+every prime at once and recovers their determinant by the Chinese remainder
 theorem. ``modular_rank`` runs the same sparse loop modulo one prime.
 
 One fraction-free Gauss-Jordan elimination on Python ints (Bareiss) gives
@@ -30,7 +29,7 @@ from .errors import NumericalFailureError, SizeCapExceededError
 DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
 
 # Entries per matrix row that the pivots left may touch before the sparse
-# determinant leaves the matrix to the numpy loop (see _fills_in). On dense
+# determinant hands the rows left to the numpy loop (see _eliminate). On dense
 # Laplacian minors of K_(k+1), the sparse loop against the numpy loop took
 # 1.14 vs 1.31 ms at order 16 (225 entries per pivot) and 2.14 vs 1.66 ms
 # at order 20 (361), so the limit sits at the crossover: a dense matrix of
@@ -38,6 +37,11 @@ DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
 # far below it: at most 9 per row on the default verify grid, 79 on the
 # blowup of K_45 at n=3, which then takes 0.44 s instead of 1.16 s.
 FILL_LIMIT = 256
+
+# Peak bytes of the numpy loop per byte of its (primes, N, N) int64 array,
+# rounded up: tracemalloc peaks of 4.2, 4.0 and 4.0 and ru_maxrss growths of
+# 4.7, 4.8 and 4.6 on G(q, 1/2) plus a path at q = 100, 200 and 300
+DENSE_ARRAYS = 5
 
 # Primes below 2**31 in descending order, extended on demand. Residues stay
 # below 2**31, so a product of two fits in int64 with room for a subtraction.
@@ -98,15 +102,13 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     Markowitz 1957 and Rose 1972).
 
     This is structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
-    1990): sparse pivots in Python, a dense solver where the matrix fills
-    in. ``_fills_in`` first eliminates the nonzero pattern alone; where it
-    finds too much fill, the numpy loop ``_dense_determinant`` takes the
-    matrix, one prime at a time with its own pivots. Otherwise ``_eliminate``
-    runs on sparse rows modulo M itself. A column with no nonzero mod M
-    gives det = 0, certified because |det| < M/2. ``_eliminate`` declines
-    where a column's nonzeros all share a prime with M, and the numpy loop
-    then starts from the original rows, so no prime is ever retried. The only
-    caller, ``tau_exact``, passes Laplacian minors; those of the blowups on
+    1990) in one pass. ``_eliminate`` pivots on the sparse rows modulo M
+    until an update would pass ``FILL_LIMIT`` entries per row, or a column's
+    nonzeros all share a prime with M; a column with no nonzero mod M before
+    that gives det = 0, certified as |det| < M/2. The numpy loop
+    ``_dense_determinant`` takes the rows left, with its own pivots for each
+    prime, and det is the product of both parts, signed by the row order:
+    the pivot rows, then the rest. The Laplacian minors of the blowups on
     the default ``verify`` grid never reach the numpy loop.
     """
     size = len(rows)
@@ -129,15 +131,15 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     position = {i: k for k, i in enumerate(order)}
     # a nonzero entry is nonzero mod M too: M > 2B >= 2|x|
     sparse = [{position[j]: x for j, x in rows[i].items() if x} for i in order]
-    eliminated = None if _fills_in(sparse) else _eliminate(sparse, size, modulus)
-    if eliminated is None:
-        value = _dense_determinant(rows, position, plist)
-    else:
-        pivot_rows, value = eliminated
-        if len(pivot_rows) < size:
-            return 0
-        if _is_odd(pivot_rows):
-            value = -value % modulus
+    pivot_rows, value, stop = _eliminate(sparse, size, modulus, FILL_LIMIT * size)
+    if len(pivot_rows) < stop:
+        return 0
+    rest = sorted(set(range(size)).difference(pivot_rows))
+    if rest:
+        block = [{c - stop: x for c, x in sparse[i].items()} for i in rest]
+        value = value * _dense_determinant(block, plist) % modulus
+    if _is_odd(pivot_rows + rest):
+        value = -value % modulus
     return value - modulus if 2 * value > modulus else value
 
 
@@ -170,51 +172,27 @@ def modular_rank(rows: list[dict[int, int]], width: int) -> int:
     elimination never declines. The rank over GF(p) is at most the rank r
     over Q, and equal to it where some r x r minor is prime to p.
     """
-    pivot_rows, _ = _eliminate(rows, width, _primes(1)[0])
+    pivot_rows, _, _ = _eliminate(rows, width, _primes(1)[0])
     return len(pivot_rows)
 
 
-def _fills_in(rows: list[dict[int, int]]) -> bool:
-    """Whether a pivot of the sparse elimination would touch too many entries.
-
-    Eliminates the pattern of A + A^T in order, pivots on the diagonal, with
-    no arithmetic: pivot k joins its c later neighbours into a clique, which
-    is the fill, and its update touches c**2 entries. With the same c for
-    every pivot left, the rest would touch c**2 * (size - k) entries; the
-    elimination fills in where that exceeds ``FILL_LIMIT`` per row of the
-    matrix. A Laplacian minor is positive definite, so unless a pivot
-    shares a prime with M its pivots are on the diagonal, and its numeric
-    fill is this pattern's or less.
-    """
-    size = len(rows)
-    around = [set(row) for row in rows]
-    for i, row in enumerate(rows):
-        for c in row:
-            around[c].add(i)
-    for k, later in enumerate(around):
-        later.discard(k)
-        if len(later) ** 2 * (size - k) > FILL_LIMIT * size:
-            return True
-        for i in later:
-            neighbours = around[i]
-            neighbours |= later
-            neighbours.discard(k)
-    return False
-
-
 def _eliminate(
-    rows: list[dict[int, int]], width: int, modulus: int
-) -> tuple[list[int], int] | None:
+    rows: list[dict[int, int]], width: int, modulus: int, budget: int | None = None
+) -> tuple[list[int], int, int]:
     """Gaussian elimination modulo ``modulus`` on sparse rows ``{column: entry}``.
 
     Columns 0 .. width-1 are taken in turn. The pivot is the first live row
     (not yet a pivot) whose entry in the column is a unit; a column with no
-    live nonzero is skipped. Each pivot updates only the live rows nonzero
-    in its column, at the pivot row's nonzeros. Returns the pivot row of
-    each column that got one, in column order, and the product of the
-    pivots; for a square matrix with every column pivoted, det = sign(pivot
-    rows) times that product. Returns None where a column has nonzeros but
-    no unit. The rows are consumed.
+    live nonzero is skipped. Each pivot updates only the c live rows nonzero
+    in its column, at the pivot row's c' other nonzeros. With a ``budget``,
+    the loop stops before a pivot at column k whose c * c' * (width - k), the
+    work left were every update this large, exceeds it; so the updates made
+    stay below budget * H_width, H the harmonic number. Returns the pivot row
+    of each column that got one, in column order, the product of the pivots,
+    and ``stop``: the first column not eliminated (no unit, the budget, or
+    ``width``). The live rows then hold only columns ``stop`` on. For a
+    square matrix with every column before ``stop`` pivoted, det = sign(pivot
+    rows, then live rows) * product * det(live rows). The rows are consumed.
     """
     live: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(rows):
@@ -232,9 +210,11 @@ def _eliminate(
                 (i for i in sorted(holders) if math.gcd(rows[i][col], modulus) == 1), None
             )
             if pivot is None:
-                return None
+                return pivot_rows, product, col
         holders.discard(pivot)
         top = rows[pivot]
+        if budget is not None and len(holders) * (len(top) - 1) * (width - col) > budget:
+            return pivot_rows, product, col
         value = top.pop(col)
         for c in top:
             live[c].discard(pivot)
@@ -252,7 +232,7 @@ def _eliminate(
                 elif c in row:
                     del row[c]
                     live[c].discard(i)
-    return pivot_rows, product
+    return pivot_rows, product, width
 
 
 def _is_odd(permutation: list[int]) -> bool:
@@ -271,26 +251,30 @@ def _is_odd(permutation: list[int]) -> bool:
     return odd
 
 
-def _dense_determinant(rows: list[dict[int, int]], position: dict, plist: list[int]) -> int:
-    """det mod prod(plist) in [0, M), all primes at once in numpy.
+def _dense_determinant(rows: list[dict[int, int]], plist: list[int]) -> int:
+    """det mod prod(plist) in [0, M) of sparse rows, all primes at once in numpy.
 
     Gaussian elimination runs modulo every prime together on one
-    (primes, N, N) int64 array: row and column i go to ``position[i]``, and
-    each distinct entry is reduced as a Python int modulo each prime. A
-    pivot search runs per prime: an entry can vanish mod p without vanishing
-    over Q. A column with no nonzero entry mod p makes that prime's residue
-    0, which is a true residue and still enters the Chinese remainder
-    reconstruction. Each step updates only the rows nonzero in the pivot
-    column and the columns nonzero in the pivot row for some prime: a zero
-    multiplier for one prime is a no-op, so the restricted update is exact.
+    (primes, N, N) int64 array, its bytes checked first, and each distinct
+    entry is reduced as a Python int modulo each prime. A pivot search runs
+    per prime: an entry can vanish mod p without vanishing over Q. A column
+    with no nonzero entry mod p makes that prime's residue 0, which is a
+    true residue and still enters the Chinese remainder reconstruction. Each
+    step updates only the rows nonzero in the pivot column and the columns
+    nonzero in the pivot row for some prime: a zero multiplier for one prime
+    is a no-op, so the restricted update is exact.
     """
+    from .blowup import require_memory  # here: blowup imports graphs, which imports this module
+
     size = len(rows)
+    need = DENSE_ARRAYS * 8 * len(plist) * size * size
+    require_memory(need, f"a dense determinant of order {size} modulo {len(plist)} primes")
     primes = np.array(plist, dtype=np.int64)
     p_col = primes[:, None]
     p_cube = primes[:, None, None]
     code: dict[int, int] = {}  # each distinct entry, numbered
     cells = [
-        (position[i], position[j], code.setdefault(x, len(code)))
+        (i, j, code.setdefault(x, len(code)))
         for i, row in enumerate(rows) for j, x in row.items()
     ]
     i, j, k = np.array(cells, dtype=np.intp).T

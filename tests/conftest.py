@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis strategies."""
 
+import random
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -44,6 +46,17 @@ def laplacian(g):
     lap[us, vs] = lap[vs, us] = -1
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
+
+
+def late_fill_graph(core, tail, seed=2):
+    """G(core, 0.9) with a path of tail vertices hanging from its last vertex.
+
+    Its Laplacian minor stays sparse along the path and fills in on the core.
+    """
+    rng = random.Random(seed)
+    edges = {(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.9}
+    edges |= {(core - 1 + k, core + k) for k in range(tail)}
+    return Graph(core + tail, sorted(edges))
 
 
 def sparse_rows(matrix):

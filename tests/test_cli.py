@@ -11,6 +11,7 @@ import clique_blowup
 from clique_blowup import (
     BlowupParams,
     _blas,
+    _exact,
     blowup,
     blowup_counts,
     cli,
@@ -20,6 +21,8 @@ from clique_blowup import (
     tau_blowup_closed,
 )
 from clique_blowup.cli import main
+
+from conftest import late_fill_graph
 
 
 def run(capsys, *argv):
@@ -528,6 +531,23 @@ class TestIndexes:
             f"error: a shifted inverse of order 25 would need {need} bytes,"
             f" more than the {need - 1} of physical memory\n"
         )
+
+    def test_dense_determinant_over_physical_memory_exits_3(self, capsys, monkeypatch, tmp_path):
+        # 5 path vertices on a G(40, 0.9) core: exact tau hands the numpy loop the
+        # 39 core rows modulo 7 primes, a prediction above the order-45 float solve's
+        need = _exact.DENSE_ARRAYS * 8 * 7 * 39 * 39
+        source = tmp_path / "late.txt"
+        source.write_text("".join(f"{u} {v}\n" for u, v in late_fill_graph(40, 5).edges))
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        code, out, err = run(capsys, "indexes", "--input", str(source), "--route", "oracle")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: a dense determinant of order 39 modulo 7 primes would need {need} bytes,"
+            f" more than the {need - 1} of physical memory\n"
+        )
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        code, _, _ = run(capsys, "indexes", "--input", str(source), "--route", "oracle")
+        assert code == 0
 
     @pytest.mark.parametrize("route", ["closed_form", "oracle", "spectral", "all"])
     @pytest.mark.parametrize("r", ["0", "1"])

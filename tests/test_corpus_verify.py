@@ -22,10 +22,10 @@ from clique_blowup import (
     laplacian_spectrum,
     run_verification,
 )
-from clique_blowup import blowup, graphs, indexes, verify
+from clique_blowup import _exact, blowup, graphs, indexes, verify
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
-from conftest import graphs_with_twins, record_orders
+from conftest import graphs_with_twins, late_fill_graph, record_orders
 
 
 class TestCorpus:
@@ -307,6 +307,20 @@ class TestSingleCap:
         blown = blowup_iterate(petersen(), BlowupParams(5, 2))
         with pytest.raises(OverflowError):
             indexes.tau_spectral(blown, laplacian_spectrum(blown))
+
+    def test_dense_determinant_over_physical_memory_is_a_skip(self, monkeypatch):
+        # the numpy loop's predicted bytes for the 39 core rows left, modulo 7
+        # primes, exceed the limit; the float solves of order 45 still fit
+        g = late_fill_graph(40, 5)
+        need = _exact.DENSE_ARRAYS * 8 * 7 * 39 * 39
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        report = run_verification([("late", g)], [], [])
+        assert report.passed and report.skipped
+        message = f"a dense determinant of order 39 modulo 7 primes would need {need} bytes"
+        assert all(message in r.detail for r in report.skipped)
+        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        report = run_verification([("late", g)], [], [])
+        assert report.passed and not report.skipped
 
     def test_base_over_exact_cap_skips_its_exact_checks(self):
         # petersen is twin-free, so q = N = 10 is over a cap of 9

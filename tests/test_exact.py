@@ -24,8 +24,8 @@ from clique_blowup._exact import (
 from clique_blowup.blowup import BlowupParams, blowup_iterate
 from clique_blowup.corpus import default_corpus, graph_from_spec
 from clique_blowup.errors import NumericalFailureError, SizeCapExceededError
-from clique_blowup.indexes import tau_exact
-from conftest import record_orders, sparse_rows
+from clique_blowup.indexes import _grounded, _quotient_rows, kf_star_exact, tau_exact
+from conftest import late_fill_graph, record_orders, sparse_rows
 
 int_matrices = arrays(
     np.int64, (4, 4), elements=st.integers(min_value=-6, max_value=6)
@@ -211,6 +211,17 @@ def test_default_grid_minors_stay_on_the_sparse_loop(monkeypatch):
     assert calls == 62
 
 
+def test_late_fill_hands_the_numpy_loop_only_the_rows_left(monkeypatch):
+    # q = 120: the sparse loop pivots the 80 path vertices, then stops before
+    # the core fills in, and the numpy loop takes the 39 core rows left
+    minor = _grounded(_quotient_rows(late_fill_graph(40, 80)))
+    assert len(minor) == 119
+    calls = record_orders(monkeypatch, _exact, "_dense_determinant")
+    dense = [[row.get(j, 0) for j in range(len(minor))] for row in minor]
+    assert modular_determinant(minor) == bareiss_determinant(dense)
+    assert calls == [39]
+
+
 def test_sparse_pivot_parity():
     # the pivots of columns 0, 1 (and 2) come from rows 1, 0 (and 2): odd
     with_swap = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
@@ -231,12 +242,23 @@ def test_non_unit_pivot_is_passed_over(monkeypatch):
 
 
 def test_column_without_unit_declines_and_stays_exact(monkeypatch):
-    # after the pivot 3, column 1 holds only p*q, which shares two primes with M
+    # after the pivot 3, column 1 holds only p*q, which shares two primes with M;
+    # the numpy loop takes the one row left
     p, q = _primes(2)
     matrix = [[p * q, 1], [0, 3]]
     calls = record_orders(monkeypatch, _exact, "_dense_determinant")
     assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix) == 3 * p * q
-    assert calls == [2]
+    assert calls == [1]
+
+
+def test_rows_left_sign_the_determinant_with_the_pivot_rows(monkeypatch):
+    # row 1 pivots column 0; then column 1 holds only p*q*(1 - 5/3) in row 0,
+    # which shares two primes with M: the rows in order 1, 0 are odd
+    p, q = _primes(2)
+    matrix = [[p * q, p * q], [3, 5]]
+    calls = record_orders(monkeypatch, _exact, "_dense_determinant")
+    assert modular_determinant(sparse_rows(matrix)) == bareiss_determinant(matrix) == 2 * p * q
+    assert calls == [1]
 
 
 def test_modular_determinant_pivot_vanishes_after_reordering():
@@ -270,9 +292,9 @@ def primes_used(monkeypatch):
     counts = []
     eliminate = _exact._eliminate
 
-    def spy(rows, width, modulus):
+    def spy(rows, width, modulus, budget=None):
         counts.append(sum(1 for p in _primes(64) if modulus % p == 0))
-        return eliminate(rows, width, modulus)
+        return eliminate(rows, width, modulus, budget)
 
     monkeypatch.setattr(_exact, "_eliminate", spy)
     return counts
@@ -316,6 +338,38 @@ def test_the_diagonal_bound_needs_a_positive_semidefinite_matrix(monkeypatch, bl
     counts = primes_used(monkeypatch)
     assert modular_determinant(rows) == det
     assert counts[0] >= 2
+
+
+@pytest.mark.parametrize(
+    "spec, n, r", [("petersen", 3, 1), ("cycle:5", 3, 2), ("complete:4", 5, 2)]
+)
+def test_elimination_modulo_a_square_gives_kf_star(spec, n, r):
+    # L0 is the grounded quotient minor and w0 the class weights k*d past class 0,
+    # W = 2m. det(L0 + t diag(w0)) = c0 + c1 t + ..., with c0 = det L0 and
+    # c1 = sum_i w_i adj(L0)_ii in [0, W H], H = prod a_ii. At t = M > 2 W**2 H
+    # its residue mod M**2, neither prime nor squarefree, is c0 + c1 M, and
+    # Kf* = (W c1 + det[[L0, w0], [w0^T, 0]]) / c0 + 2m sum d (k - 1) / (d + 1)
+    g = blowup_iterate(graph_from_spec(spec), BlowupParams(n, r))
+    _, size, degree, _ = g._twins
+    w = [k * d for k, d in zip(size, degree)][1:]
+    total = 2 * g.edge_count
+    minor = _grounded(_quotient_rows(g))
+    bound = math.prod(row[i] for i, row in enumerate(minor))
+    count = 1
+    while math.prod(_primes(count)) <= 2 * total**2 * bound:
+        count += 1
+    modulus = math.prod(_primes(count))
+    shifted = [{**row, i: row[i] + modulus * x} for i, (row, x) in enumerate(zip(minor, w))]
+    pivot_rows, value, stop = _exact._eliminate(shifted, len(minor), modulus**2)
+    assert stop == len(minor)
+    if _exact._is_odd(pivot_rows):
+        value = -value % modulus**2
+    c0, c1 = value % modulus, value // modulus
+    assert c0 == modular_determinant(minor)
+    bordered = [{**row, len(w): x} for row, x in zip(minor, w)] + [dict(enumerate(w))]
+    inside = sum(Fraction(d * (k - 1), d + 1) for k, d in zip(size, degree))
+    kf = Fraction(total * c1 + modular_determinant(bordered), c0) + total * inside
+    assert kf == kf_star_exact(g)
 
 
 def test_modular_determinant_lifts_with_m_above_twice_the_bound():
