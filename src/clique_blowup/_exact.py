@@ -187,7 +187,7 @@ def _eliminate(
     in its column, at the pivot row's c' other nonzeros. With a ``budget``,
     the loop stops before a pivot at column k whose c * c' * (width - k), the
     work left were every update this large, exceeds it; so the updates made
-    stay below budget * H_width, H the harmonic number. Returns the pivot row
+    total at most budget * H_width, H the harmonic number. Returns the pivot row
     of each column that got one, in column order, the product of the pivots,
     and ``stop``: the first column not eliminated (no unit, the budget, or
     ``width``). The live rows then hold only columns ``stop`` on. For a
