@@ -6,8 +6,8 @@ result is certified, not probabilistic. It takes sparse rows
 ``{column: entry}``, as ``modular_rank`` does, and is structured Gaussian
 elimination in one pass: Python pivots on those rows modulo M, lowest-degree
 rows first, until a pivot's update would pass a fill budget. Only the rows
-left then become a dense array, for a numpy loop that eliminates modulo
-every prime at once and recovers their determinant by the Chinese remainder
+left then become a dense array, which a numpy loop eliminates modulo one
+prime at a time, recovering their determinant by the Chinese remainder
 theorem. ``modular_rank`` runs the same sparse loop modulo one prime.
 
 One fraction-free Gauss-Jordan elimination on Python ints (Bareiss) gives
@@ -31,17 +31,20 @@ DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
 # Entries per matrix row that the pivots left may touch before the sparse
 # determinant hands the rows left to the numpy loop (see _eliminate). On dense
 # Laplacian minors of K_(k+1), the sparse loop against the numpy loop took
-# 1.14 vs 1.31 ms at order 16 (225 entries per pivot) and 2.14 vs 1.66 ms
-# at order 20 (361), so the limit sits at the crossover: a dense matrix of
-# order 17 or less stays sparse (a 2-vCPU x86-64 host). Blowup minors stay
+# 0.60-0.64 vs 0.61-0.66 ms at order 16 (225 entries per pivot) and 1.10-1.20
+# vs 0.81-0.91 ms at order 20 (361), so the limit sits at the crossover: a
+# dense matrix of order 17 or less stays sparse (medians of 200 interleaved
+# calls in each of 3 processes, a 2-vCPU x86-64 host). Blowup minors stay
 # far below it: at most 9 per row on the default verify grid, 79 on the
 # blowup of K_45 at n=3, which then takes 0.44 s instead of 1.16 s.
 FILL_LIMIT = 256
 
-# Peak bytes of the numpy loop per byte of its (primes, N, N) int64 array,
-# rounded up: tracemalloc peaks of 4.2, 4.0 and 4.0 and ru_maxrss growths of
-# 4.7, 4.8 and 4.6 on G(q, 1/2) plus a path at q = 100, 200 and 300
-DENSE_ARRAYS = 5
+# Peak bytes of the numpy loop per entry of its N x N block, rounded up: tracemalloc
+# peaks of 28-76 on G(q, 1/2) plus a path (N = 20, 60, 100, 200, 300), 38-48 on a
+# G(c, 0.9) core plus a path of 9c (N = 59, 100, 200, 300) and 137-167 on random
+# blocks of distinct 1000-bit entries (N = 20-300), whose numbering costs the most;
+# ru_maxrss growths of at most 73, 41 and 173
+DENSE_BYTES = 200
 
 # Primes below 2**31 in descending order, extended on demand. Residues stay
 # below 2**31, so a product of two fits in int64 with room for a subtraction.
@@ -106,8 +109,8 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     until an update would pass ``FILL_LIMIT`` entries per row, or a column's
     nonzeros all share a prime with M; a column with no nonzero mod M before
     that gives det = 0, certified as |det| < M/2. The numpy loop
-    ``_dense_determinant`` takes the rows left, with its own pivots for each
-    prime, and det is the product of both parts, signed by the row order:
+    ``_dense_determinant`` takes the rows left, one prime at a time with its
+    own pivots, and det is the product of both parts, signed by the row order:
     the pivot rows, then the rest. The Laplacian minors of the blowups on
     the default ``verify`` grid never reach the numpy loop.
     """
@@ -252,57 +255,48 @@ def _is_odd(permutation: list[int]) -> bool:
 
 
 def _dense_determinant(rows: list[dict[int, int]], plist: list[int]) -> int:
-    """det mod prod(plist) in [0, M) of sparse rows, all primes at once in numpy.
+    """det mod prod(plist) in [0, M) of sparse rows, one prime at a time in numpy.
 
-    Gaussian elimination runs modulo every prime together on one
-    (primes, N, N) int64 array, its bytes checked first, and each distinct
-    entry is reduced as a Python int modulo each prime. A pivot search runs
-    per prime: an entry can vanish mod p without vanishing over Q. A column
-    with no nonzero entry mod p makes that prime's residue 0, which is a
-    true residue and still enters the Chinese remainder reconstruction. Each
-    step updates only the rows nonzero in the pivot column and the columns
-    nonzero in the pivot row for some prime: a zero multiplier for one prime
-    is a no-op, so the restricted update is exact.
+    For each prime, one (N, N) int64 array holds the entries mod p, each
+    distinct entry reduced once as a Python int, and Gaussian elimination
+    runs on it in place. A row is swapped in only where the diagonal entry
+    is 0 mod p: an entry can vanish mod p without vanishing over Q. A column
+    with no nonzero entry mod p makes that prime's residue 0, which is a true
+    residue and still enters the Chinese remainder reconstruction. Memory is
+    one array and the update's temporary, whatever the prime count; its
+    predicted bytes are checked first.
     """
     from .blowup import require_memory  # here: blowup imports graphs, which imports this module
 
     size = len(rows)
-    need = DENSE_ARRAYS * 8 * len(plist) * size * size
-    require_memory(need, f"a dense determinant of order {size} modulo {len(plist)} primes")
-    primes = np.array(plist, dtype=np.int64)
-    p_col = primes[:, None]
-    p_cube = primes[:, None, None]
+    require_memory(DENSE_BYTES * size * size, f"a dense determinant of order {size}")
+    nonzeros = sum(map(len, rows))
+    at = np.fromiter((size * i + j for i, row in enumerate(rows) for j in row), np.intp, nonzeros)
     code: dict[int, int] = {}  # each distinct entry, numbered
-    cells = [
-        (i, j, code.setdefault(x, len(code)))
-        for i, row in enumerate(rows) for j, x in row.items()
-    ]
-    i, j, k = np.array(cells, dtype=np.intp).T
-    a = np.zeros((len(plist), size, size), dtype=np.int64)
-    a[:, i, j] = np.array([[x % p for x in code] for p in plist], dtype=np.int64)[:, k]
-    det = np.ones(len(plist), dtype=np.int64)
-    negate = np.zeros(len(plist), dtype=bool)
-    for k in range(size):
-        first = (a[:, k:, k] != 0).argmax(axis=1)
-        for j in np.flatnonzero(first):
-            a[j, [k, k + first[j]]] = a[j, [k + first[j], k]]
-        negate ^= first != 0
-        pivot = a[:, k, k]
-        det = det * pivot % primes
-        inverse = np.array(
-            [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), plist)],
-            dtype=np.int64,
-        )
-        below, right = a[:, k + 1 :, k], a[:, k, k + 1 :]
-        rows = np.flatnonzero(below.any(axis=0))
-        cols = np.flatnonzero(right.any(axis=0))
-        row = right[:, cols] * inverse[:, None] % p_col
-        r, c = k + 1 + rows[:, None], k + 1 + cols
-        a[:, r, c] = (a[:, r, c] - below[:, rows, None] * row[:, None, :]) % p_cube
-    det = np.where(negate, (primes - det) % primes, det)
+    k = np.fromiter(
+        (code.setdefault(x, len(code)) for row in rows for x in row.values()), np.intp, nonzeros
+    )
     value, modulus = 0, 1
-    for residue, p in zip(det.tolist(), plist):
-        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
+    for p in plist:
+        a = np.zeros((size, size), dtype=np.int64)
+        a.flat[at] = np.array([x % p for x in code], dtype=np.int64)[k]
+        det = 1
+        for c in range(size):
+            if not a[c, c]:
+                nonzero = np.flatnonzero(a[c:, c])
+                if not nonzero.size:
+                    det = 0
+                    break
+                r = c + nonzero[0]
+                a[[c, r]] = a[[r, c]]
+                det = -det
+            pivot = int(a[c, c])
+            det = det * pivot % p
+            row = a[c, c + 1 :] * pow(pivot, -1, p) % p
+            rest = a[c + 1 :, c + 1 :]
+            rest -= a[c + 1 :, c, None] * row
+            rest %= p
+        value += modulus * ((det - value) * pow(modulus, -1, p) % p)
         modulus *= p
     return value
 

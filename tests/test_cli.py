@@ -534,15 +534,15 @@ class TestIndexes:
 
     def test_dense_determinant_over_physical_memory_exits_3(self, capsys, monkeypatch, tmp_path):
         # 5 path vertices on a G(40, 0.9) core: exact tau hands the numpy loop the
-        # 39 core rows modulo 7 primes, a prediction above the order-45 float solve's
-        need = _exact.DENSE_ARRAYS * 8 * 7 * 39 * 39
+        # 39 core rows, a prediction above the order-45 float solve's
+        need = _exact.DENSE_BYTES * 39 * 39
         source = tmp_path / "late.txt"
         source.write_text("".join(f"{u} {v}\n" for u, v in late_fill_graph(40, 5).edges))
         monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
         code, out, err = run(capsys, "indexes", "--input", str(source), "--route", "oracle")
         assert (code, out) == (3, "")
         assert err == (
-            f"error: a dense determinant of order 39 modulo 7 primes would need {need} bytes,"
+            f"error: a dense determinant of order 39 would need {need} bytes,"
             f" more than the {need - 1} of physical memory\n"
         )
         monkeypatch.setattr(blowup, "physical_memory", lambda: need)

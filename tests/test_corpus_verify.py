@@ -309,14 +309,14 @@ class TestSingleCap:
             indexes.tau_spectral(blown, laplacian_spectrum(blown))
 
     def test_dense_determinant_over_physical_memory_is_a_skip(self, monkeypatch):
-        # the numpy loop's predicted bytes for the 39 core rows left, modulo 7
-        # primes, exceed the limit; the float solves of order 45 still fit
+        # the numpy loop's predicted bytes for the 39 core rows left exceed the
+        # limit; the float solves of order 45 still fit
         g = late_fill_graph(40, 5)
-        need = _exact.DENSE_ARRAYS * 8 * 7 * 39 * 39
+        need = _exact.DENSE_BYTES * 39 * 39
         monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
         report = run_verification([("late", g)], [], [])
         assert report.passed and report.skipped
-        message = f"a dense determinant of order 39 modulo 7 primes would need {need} bytes"
+        message = f"a dense determinant of order 39 would need {need} bytes"
         assert all(message in r.detail for r in report.skipped)
         monkeypatch.setattr(blowup, "physical_memory", lambda: need)
         report = run_verification([("late", g)], [], [])

@@ -1,6 +1,8 @@
 """Oracle tests for the exact elimination helpers."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +222,47 @@ def test_late_fill_hands_the_numpy_loop_only_the_rows_left(monkeypatch):
     dense = [[row.get(j, 0) for j in range(len(minor))] for row in minor]
     assert modular_determinant(minor) == bareiss_determinant(dense)
     assert calls == [39]
+
+
+@st.composite
+def blocks_modulo_primes(draw):
+    """A square block of order 1-12 and the 1-6 largest primes.
+
+    Multiples of those primes vanish modulo one of them only, so a diagonal
+    entry or a whole column can be zero for some primes and not others.
+    """
+    plist = _primes(draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda p, x: p * x, st.sampled_from(plist), st.integers(-3, 3)),
+        st.integers(-(2**70), 2**70),
+    )
+    matrix = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, plist
+
+
+@given(blocks_modulo_primes())
+def test_dense_determinant_is_the_determinant_modulo_the_primes(block):
+    matrix, plist = block
+    expected = bareiss_determinant(matrix) % math.prod(plist)
+    assert _exact._dense_determinant(sparse_rows(matrix), plist) == expected
+
+
+def test_dense_determinant_peak_stays_within_its_prediction():
+    # distinct 1000-bit entries make the numbering dearest, and the prediction
+    # counts no primes: the peak must not grow with the 50 of them
+    rng = random.Random(1)
+    rows = [{j: rng.getrandbits(1000) for j in range(60)} for _ in range(60)]
+    plist = _primes(50)
+    _exact._dense_determinant([{0: 1}], plist)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        _exact._dense_determinant(rows, plist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _exact.DENSE_BYTES * 60 * 60
 
 
 def test_sparse_pivot_parity():
