@@ -14,12 +14,15 @@ One fraction-free Gauss-Jordan elimination on Python ints (Bareiss) gives
 the exact rational inverse of the exact Kf* route, and the integer rank and
 determinant that the tests compare against. All routines are exact; they
 exist so that rank dichotomies, spanning-tree counts and Kf* never depend on
-floating-point rounding.
+floating-point rounding. The two checks a capped routine makes before it
+allocates live here too: ``require_within_cap`` on its order and
+``require_memory`` on its predicted bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +91,23 @@ def require_within_cap(order: int, max_order: int) -> None:
     """Raise SizeCapExceededError for an order over max_order; call it before allocating."""
     if order > max_order:
         raise SizeCapExceededError(f"order {order} exceeds exact cap {max_order}")
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory of the host, from os.sysconf; None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise SizeCapExceededError where nbytes exceeds physical memory; call it before allocating."""
+    limit = physical_memory()
+    if limit is not None and nbytes > limit:
+        raise SizeCapExceededError(
+            f"{what} would need {nbytes} bytes, more than the {limit} of physical memory"
+        )
 
 
 def modular_determinant(rows: list[dict[int, int]]) -> int:
@@ -266,8 +286,6 @@ def _dense_determinant(rows: list[dict[int, int]], plist: list[int]) -> int:
     one array and the update's temporary, whatever the prime count; its
     predicted bytes are checked first.
     """
-    from .blowup import require_memory  # here: blowup imports graphs, which imports this module
-
     size = len(rows)
     require_memory(DENSE_BYTES * size * size, f"a dense determinant of order {size}")
     nonzeros = sum(map(len, rows))

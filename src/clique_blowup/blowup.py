@@ -9,11 +9,11 @@ which this module also evaluates in closed form with exact big integers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._exact import require_memory
 from .errors import InternalAssertionError, InvalidParameterError, SizeCapExceededError
 from .graphs import Graph, require_connected
 
@@ -22,23 +22,6 @@ DEFAULT_MAX_VERTICES = 20000
 # tracemalloc peak of blowup_iterate per edge of its result, rounded up: 80-86 B
 # on complete:2 n=1000 and n=1500, petersen n=8 r=2 and cycle:1000 n=20
 EDGE_BYTES = 90
-
-
-def physical_memory() -> int | None:
-    """Bytes of physical memory of the host, from os.sysconf; None where unknown."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def require_memory(nbytes: int, what: str) -> None:
-    """Raise SizeCapExceededError where nbytes exceeds physical memory; call it before allocating."""
-    limit = physical_memory()
-    if limit is not None and nbytes > limit:
-        raise SizeCapExceededError(
-            f"{what} would need {nbytes} bytes, more than the {limit} of physical memory"
-        )
 
 
 @dataclass(frozen=True)

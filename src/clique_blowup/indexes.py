@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._blas import threads_for
-from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_within_cap
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence, require_memory
+from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_memory, require_within_cap
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import InternalAssertionError, InvalidParameterError, NumericalFailureError
 from .graphs import Graph, require_connected
 from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
@@ -179,6 +179,8 @@ def _shifted_inverse(rows) -> np.ndarray:
     Its predicted bytes are checked first; then 1/q fills one array and each
     entry of L is added. L + J/q is positive definite, so it has a Cholesky
     factor C (the factorization fails otherwise) and (L + J/q)^{-1} = C^{-T} C^{-1}.
+    numpy forms that product of an array and its own transpose by BLAS syrk and
+    mirrors one triangle, so it is exactly symmetric, as resistance_matrix needs.
     """
     order = len(rows)
     nonzeros = sum(map(len, rows))  # no Python list per entry: a dense L would outweigh the array
@@ -243,8 +245,6 @@ def resistance_matrix(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> np.ndarra
     require_within_cap(g.vertex_count, max_order)
     pinv = _shifted_inverse(_laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees))
     pinv -= 1.0 / g.vertex_count
-    pinv += pinv.T  # numpy reads the overlapping operand as if copied first
-    pinv /= 2.0
     diag = pinv.diagonal().copy()
     # (d_i + d_j) - 2 p_ij, written into pinv: x - y is x + (-y) exactly
     pinv *= -2.0

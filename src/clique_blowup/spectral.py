@@ -34,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _blas
-from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence, require_memory
+from ._exact import require_memory
+from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
 from .errors import (
     DegreeZeroError,
     InconsistentSpectrumError,
@@ -256,11 +257,6 @@ def _asymmetry(matrix: np.ndarray) -> float:
     return float(np.max(block_max, initial=0.0))
 
 
-def _check_bytes(order: int) -> None:
-    """Raise SizeCapExceededError where one order x order array of doubles exceeds memory."""
-    require_memory(8 * order * order, f"a matrix of order {order}")
-
-
 def eig_sym(
     matrix: np.ndarray,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
@@ -300,7 +296,7 @@ def eig_sym(
     in_place = (syevd is not None and overwrite and deviation == 0.0
                 and matrix.flags.c_contiguous and matrix.flags.writeable)
     if not in_place:
-        _check_bytes(order)  # eigvalsh's copy
+        require_memory(8 * order * order, f"a matrix of order {order}")  # eigvalsh's copy
     with _blas.threads_for(order):
         if not in_place:
             values = np.linalg.eigvalsh(matrix)
@@ -337,7 +333,8 @@ def laplacian_spectrum(
     for k, d in zip(size[size > 1], degree[size > 1]):
         value = 1.0 + 1.0 / float(d)
         deflated[value] = deflated.get(value, 0) + int(k) - 1
-    _check_bytes(len(sizes))
+    q = len(sizes)
+    require_memory(8 * q * q, f"a matrix of order {q}")
     # positional: record_orders and the benchmark's tracer read the matrix from args[0]
     quotient = eig_sym(
         _quotient_laplacian(links, size, degree), cluster_tol, max_order, overwrite=True

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from clique_blowup import Graph, default_corpus
+from clique_blowup import Graph, _exact, default_corpus
 
 
 @st.composite
@@ -75,6 +75,11 @@ def record_orders(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return orders
+
+
+def set_physical_memory(monkeypatch, nbytes):
+    """Make every memory guard read nbytes of physical memory."""
+    monkeypatch.setattr(_exact, "physical_memory", lambda: nbytes)
 
 
 @pytest.fixture(scope="session")

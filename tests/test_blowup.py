@@ -19,7 +19,7 @@ from clique_blowup import (
 )
 from clique_blowup import blowup
 
-from conftest import connected_graphs
+from conftest import connected_graphs, set_physical_memory
 
 
 class TestParams:
@@ -129,10 +129,10 @@ class TestIterate:
 
     def test_edge_bytes_are_capped_by_physical_memory(self, monkeypatch):
         # K_3 at n=5 has 30 edges; never tested by allocating
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 30 * blowup.EDGE_BYTES - 1)
+        set_physical_memory(monkeypatch, 30 * blowup.EDGE_BYTES - 1)
         with pytest.raises(SizeCapExceededError, match="30 edges"):
             blowup_iterate(gen_family("complete", 3), BlowupParams(5, 1))
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 30 * blowup.EDGE_BYTES)
+        set_physical_memory(monkeypatch, 30 * blowup.EDGE_BYTES)
         assert blowup_iterate(gen_family("complete", 3), BlowupParams(5, 1)).edge_count == 30
 
     def test_edge_bytes_cover_the_measured_peak(self):

@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import importlib
 import json
 import os
@@ -22,7 +24,7 @@ from clique_blowup import (
 )
 from clique_blowup.cli import main
 
-from conftest import late_fill_graph
+from conftest import late_fill_graph, set_physical_memory
 
 
 def run(capsys, *argv):
@@ -83,7 +85,7 @@ class TestBlowup:
 
     def test_edge_bytes_over_physical_memory_exit_3(self, capsys, monkeypatch):
         # K_20000 has 199,990,000 edges: refused before any is built
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 2**33)
+        set_physical_memory(monkeypatch, 2**33)
         built = []
         monkeypatch.setattr(blowup, "clique_blowup", lambda *args: built.append(args))
         code, out, err = run(capsys, "blowup", "--input", "complete:2", "--n", "20000")
@@ -155,7 +157,7 @@ class TestSpectra:
 
     def test_quotient_over_physical_memory_exits_3(self, capsys, monkeypatch):
         # cycle:200 at r=0 is twin-free: 200 edges fit, the order-200 quotient does not
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 100_000)
+        set_physical_memory(monkeypatch, 100_000)
         code, out, err = run(
             capsys, "spectra", "--input", "cycle:200", "--n", "3", "--r", "0",
             "--method", "numeric",
@@ -522,7 +524,7 @@ class TestIndexes:
         # petersen n=3 r=1 is twin-free: its 45 edges and exact tau fit, the float solve of
         # its 25 x 25 Laplacian (115 nonzeros) does not
         need = indexes.INVERSE_ARRAYS * 8 * 25 * 25 + indexes.ROW_BYTES * 115
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        set_physical_memory(monkeypatch, need - 1)
         code, out, err = run(
             capsys, "indexes", "--input", "petersen", "--n", "3", "--r", "1", "--route", "oracle"
         )
@@ -538,14 +540,14 @@ class TestIndexes:
         need = _exact.DENSE_BYTES * 39 * 39
         source = tmp_path / "late.txt"
         source.write_text("".join(f"{u} {v}\n" for u, v in late_fill_graph(40, 5).edges))
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        set_physical_memory(monkeypatch, need - 1)
         code, out, err = run(capsys, "indexes", "--input", str(source), "--route", "oracle")
         assert (code, out) == (3, "")
         assert err == (
             f"error: a dense determinant of order 39 would need {need} bytes,"
             f" more than the {need - 1} of physical memory\n"
         )
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        set_physical_memory(monkeypatch, need)
         code, _, _ = run(capsys, "indexes", "--input", str(source), "--route", "oracle")
         assert code == 0
 
@@ -670,7 +672,7 @@ class TestVerify:
         # cycle:5 n=5 r=1 has 50 edges; the base graph's 5 x 5 float solve still fits
         limit = 50 * blowup.EDGE_BYTES - 1
         assert indexes.INVERSE_ARRAYS * 8 * 5 * 5 + indexes.ROW_BYTES * 15 <= limit
-        monkeypatch.setattr(blowup, "physical_memory", lambda: limit)
+        set_physical_memory(monkeypatch, limit)
         code, out, _ = run(
             capsys, "verify", "--corpus", "cycle:5", "--n-list", "5", "--r-list", "1",
         )
@@ -682,14 +684,14 @@ class TestVerify:
         # the blowup of cycle:5 is twin-free at q = 10 (40 nonzeros); its spectrum
         # fits, its float Kf* does not, so the cell stops there with one skip: part
         need = indexes.INVERSE_ARRAYS * 8 * 10 * 10 + indexes.ROW_BYTES * 40
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        set_physical_memory(monkeypatch, need - 1)
         code, out, _ = run(
             capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
         )
         assert code == 0
         assert out.splitlines()[1].split() == ["cycle:5", "ok", "part"]
         assert out.endswith(" 0 failures, 1 skipped)\n")
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        set_physical_memory(monkeypatch, need)
         code, out, _ = run(
             capsys, "verify", "--corpus", "cycle:5", "--n-list", "3", "--r-list", "1",
         )
@@ -948,6 +950,22 @@ class TestThreadPin:
         )
         assert run_child(code) == "True True\nTrue True\nTrue\n"
 
+    @needs_two_cores
+    def test_shifted_inverse_is_exactly_symmetric(self):
+        # resistance_matrix relies on it: below PARALLEL_ORDER on one thread, from it on every core
+        code = (
+            "import clique_blowup.cli, numpy as np\n"
+            "from clique_blowup import BlowupParams, _blas, blowup_iterate, default_corpus, gen_family\n"
+            "from clique_blowup.indexes import _laplacian_rows, _shifted_inverse\n"
+            "graphs = [blowup_iterate(g, BlowupParams(4, 1)) for _, g in default_corpus()]\n"
+            "graphs += [gen_family('cycle', _blas.PARALLEL_ORDER + k) for k in (-1, 0, 400)]\n"
+            "for g in graphs:\n"
+            "    s = _shifted_inverse(_laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees))\n"
+            "    print(np.array_equal(s, s.T), end=' ')\n"
+            "print(_blas._cores > 1)\n"
+        )
+        assert run_child(code) == "True " * 12 + "True\n"
+
     def test_threads_for_brackets_every_large_factorization(self, monkeypatch):
         calls = []
         monkeypatch.setattr(_blas, "_set_threads", calls.append)
@@ -979,6 +997,25 @@ class TestPackageSurface:
                 assert getattr(value, "__module__", defining.__name__) == defining.__name__
                 listed.append(name)
         assert sorted(listed) == clique_blowup.__all__
+
+    def test_module_imports_are_acyclic(self):
+        # every relative import at any depth, function-local ones included
+        package = os.path.dirname(clique_blowup.__file__)
+        imports = {}
+        for filename in os.listdir(package):
+            if filename.endswith(".py"):
+                with open(os.path.join(package, filename)) as source:
+                    tree = ast.parse(source.read())
+                imports[filename[:-3]] = {
+                    module
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                    for module in ([node.module] if node.module else [a.name for a in node.names])
+                }
+        try:
+            graphlib.TopologicalSorter(imports).prepare()
+        except graphlib.CycleError as exc:
+            pytest.fail(f"import cycle {' -> '.join(reversed(exc.args[1]))}")  # a -> b: a imports b
+        assert imports["_exact"] == {"errors"}  # the lowest numeric layer
 
     def test_dir_lists_every_export(self):
         assert set(clique_blowup.__all__) <= set(dir(clique_blowup))

@@ -25,7 +25,7 @@ from clique_blowup import (
 from clique_blowup import _exact, blowup, graphs, indexes, verify
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
-from conftest import graphs_with_twins, late_fill_graph, record_orders
+from conftest import graphs_with_twins, late_fill_graph, record_orders, set_physical_memory
 
 
 class TestCorpus:
@@ -313,12 +313,12 @@ class TestSingleCap:
         # limit; the float solves of order 45 still fit
         g = late_fill_graph(40, 5)
         need = _exact.DENSE_BYTES * 39 * 39
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        set_physical_memory(monkeypatch, need - 1)
         report = run_verification([("late", g)], [], [])
         assert report.passed and report.skipped
         message = f"a dense determinant of order 39 would need {need} bytes"
         assert all(message in r.detail for r in report.skipped)
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        set_physical_memory(monkeypatch, need)
         report = run_verification([("late", g)], [], [])
         assert report.passed and not report.skipped
 

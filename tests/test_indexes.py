@@ -35,11 +35,18 @@ from clique_blowup import (
     tau_exact,
     tau_spectral,
 )
-from clique_blowup import blowup, indexes
+from clique_blowup import indexes
 from clique_blowup._exact import bareiss_determinant, fraction_inverse, modular_determinant
 from clique_blowup.blowup import blowup_counts, count_sequence
 
-from conftest import connected_graphs, graphs_with_twins, laplacian, record_orders, sparse_rows
+from conftest import (
+    connected_graphs,
+    graphs_with_twins,
+    laplacian,
+    record_orders,
+    set_physical_memory,
+    sparse_rows,
+)
 
 SIGMA_K2 = SpectrumMultiset(((Fraction(0), 1), (Fraction(2), 1)))
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -296,7 +303,7 @@ class TestFloatOracleMemory:
         g = gen_family("cycle", 500)
         array_bytes = 8 * len(g._twins[1]) ** 2
         need = indexes.INVERSE_ARRAYS * array_bytes + indexes.ROW_BYTES * 1500  # 3 nonzeros a row
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need - 1)
+        set_physical_memory(monkeypatch, need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(SizeCapExceededError, match="^a shifted inverse of order 500 "):
@@ -307,7 +314,7 @@ class TestFloatOracleMemory:
         finally:
             tracemalloc.stop()
         assert peak < array_bytes / 4
-        monkeypatch.setattr(blowup, "physical_memory", lambda: need)
+        set_physical_memory(monkeypatch, need)
         # every degree is 2, and the Kirchhoff index of the cycle C_q is (q^3 - q)/12
         assert kf_star_direct(g) == pytest.approx(4 * (500**3 - 500) / 12, rel=1e-9)
 
@@ -322,7 +329,7 @@ class TestFloatOracleMemory:
         assert len(g._twins[1]) == q
         arrays = indexes.INVERSE_ARRAYS * 8 * q * q
         rows = indexes.ROW_BYTES * (q + 2 * g.edge_count)
-        monkeypatch.setattr(blowup, "physical_memory", lambda: arrays + rows - 1)
+        set_physical_memory(monkeypatch, arrays + rows - 1)
         tracemalloc.start()
         try:
             indexes._quotient_rows(g)
@@ -335,7 +342,7 @@ class TestFloatOracleMemory:
             tracemalloc.stop()
         # beside the rows, less than a quarter of one q x q array of doubles
         assert peak < built + 2 * q * q
-        monkeypatch.setattr(blowup, "physical_memory", lambda: arrays + rows)
+        set_physical_memory(monkeypatch, arrays + rows)
         assert kf_star_direct(g) == pytest.approx(float(kf_star_exact(g)), rel=1e-9)
 
 

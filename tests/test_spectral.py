@@ -33,12 +33,12 @@ from clique_blowup import (
     spectrum_by_theorem,
     spectrum_iterated,
 )
-from clique_blowup import _blas, blowup, spectral
+from clique_blowup import _blas, spectral
 from clique_blowup.blowup import count_sequence
 from clique_blowup.corpus import DEFAULT_CORPUS_SPECS
 from clique_blowup.spectral import SYMMETRY_BLOCK
 
-from conftest import connected_graphs, graphs_with_twins, record_orders
+from conftest import connected_graphs, graphs_with_twins, record_orders, set_physical_memory
 
 # frozen by hand: L(K_3) = (3/2)I - J/2 and J has eigenvalues {3, 0, 0}
 SIGMA_K3 = SpectrumMultiset(((Fraction(0), 1), (Fraction(3, 2), 2)))
@@ -271,13 +271,13 @@ class TestInPlaceSolve:
         g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(4, 1))
         order = len(g._twins[1])
         built = record_orders(monkeypatch, spectral, "_quotient_laplacian")
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 8 * order * order - 1)
+        set_physical_memory(monkeypatch, 8 * order * order - 1)
         with pytest.raises(SizeCapExceededError, match="physical memory"):
             laplacian_spectrum(g)
         assert built == []
         with pytest.raises(SizeCapExceededError, match="physical memory"):
             eig_sym(np.eye(order))
-        monkeypatch.setattr(blowup, "physical_memory", lambda: 8 * order * order)
+        set_physical_memory(monkeypatch, 8 * order * order)
         assert laplacian_spectrum(g).order == g.vertex_count
         eig_sym(np.eye(order))
 
