@@ -1,21 +1,19 @@
-"""numpy's bundled OpenBLAS through ctypes: its thread count and its dsyevd.
+"""The command line's BLAS thread policy, and numpy's bundled OpenBLAS through ctypes.
 
-The command line loads numpy with one BLAS thread (``cli`` sets the count
-before numpy loads). The twin quotients and grounded minors most commands
-factor are small, and on them a second thread only burns CPU time. A
-twin-free input keeps its quotient at full order, and there more threads
-do pay: two threads take 0.64x the one-thread wall time of eigvalsh at
-order 800 and 0.77x of the Cholesky inverse, 0.66x and 0.68x at order 2000
-(a 2-vCPU x86-64 host, one process per count; at order 400 the ratios are
-1.06x and 0.86x). So ``threads_for(order)`` runs a factorization of order
-``PARALLEL_ORDER`` or more on every core the process may use, through
-OpenBLAS's own ``openblas_set_num_threads``, and returns to one thread
-afterwards.
-
-Only after ``enable()`` does it change anything: the command line calls it
-when it set the one-thread count itself, never when the user set a count,
-so library code keeps numpy's default. Where the OpenBLAS numpy loaded
-cannot be found (numpy built against another BLAS), the count stays one.
+``cli`` calls ``pin()`` before numpy loads. Unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set, it sets all three to 1:
+the twin quotients and grounded minors most commands factor are small, and
+on them a second thread only burns CPU time. A twin-free input keeps its
+quotient at full order, where more threads do pay: two threads take 0.64x
+the one-thread wall time of eigvalsh at order 800 and 0.77x of the Cholesky
+inverse, 0.66x and 0.68x at order 2000 (a 2-vCPU x86-64 host, one process
+per count; at order 400 the ratios are 1.06x and 0.86x). So
+``threads_for(order)`` runs a factorization of order ``PARALLEL_ORDER`` or
+more on ``cores()``, every CPU the process may use, through OpenBLAS's own
+``openblas_set_num_threads``, looked up at the first such factorization.
+It raises only a count ``pin()`` set before numpy loaded, never in a forked
+worker (``verify --jobs``, whose workers ``cores()`` also caps), and never
+where numpy's OpenBLAS cannot be found (numpy built against another BLAS).
 
 ``syevd()`` returns the same library's LAPACK ``dsyevd`` (the ILP64 build
 numpy's wheels bundle), the routine ``numpy.linalg.eigvalsh`` calls, so
@@ -31,10 +29,12 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import sys
 from contextlib import contextmanager
 from functools import cache
 
 PARALLEL_ORDER = 800
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the set-count entry points of numpy's bundled OpenBLAS, then a plain build
 _SETTERS = (
@@ -46,8 +46,29 @@ _SETTERS = (
 # dsyevd of the ILP64 OpenBLAS in numpy's wheels (64-bit integers), which eigvalsh calls
 _SYEVD = "scipy_dsyevd_64_"
 
-_set_threads = None  # OpenBLAS's setter, once enable() found it
-_cores = 1
+_own_count = False  # pin() set the count before numpy loaded, and no fork came since
+
+
+def pin() -> None:
+    """Run BLAS on one thread unless the user set a count: call it before numpy loads."""
+    global _own_count
+    if THREAD_VARS & os.environ.keys():
+        return
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    _own_count = "numpy" not in sys.modules
+    if _own_count:
+        os.register_at_fork(after_in_child=_disown)
+
+
+def _disown() -> None:
+    global _own_count
+    _own_count = False
+
+
+def cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 @cache
@@ -71,27 +92,14 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
-def enable() -> None:
-    """Let threads_for raise the count of the OpenBLAS numpy has loaded."""
-    global _set_threads, _cores
+@cache
+def _setter():
+    """OpenBLAS's set-count entry point, or None where numpy's OpenBLAS cannot be found."""
     lib = _openblas()
-    if lib is None:
-        return
-    setter = next(getattr(lib, name) for name in _SETTERS if hasattr(lib, name))
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    _set_threads = setter
-    if hasattr(os, "sched_getaffinity"):
-        _cores = len(os.sched_getaffinity(0))
-    else:
-        _cores = os.cpu_count() or 1
-    # forked workers (verify --jobs) share the cores: one thread each
-    os.register_at_fork(after_in_child=_disable)
-
-
-def _disable() -> None:
-    global _set_threads
-    _set_threads = None
+    setter = lib and next(getattr(lib, name) for name in _SETTERS if hasattr(lib, name))
+    if setter:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
 
 
 @cache
@@ -139,11 +147,12 @@ def syevd():
 @contextmanager
 def threads_for(order: int):
     """Run the block on every core if the matrix has order PARALLEL_ORDER or more."""
-    if _set_threads is None or _cores < 2 or order < PARALLEL_ORDER:
+    setter = _setter() if _own_count and order >= PARALLEL_ORDER and cores() > 1 else None
+    if setter is None:
         yield
         return
-    _set_threads(_cores)
+    setter(cores())
     try:
         yield
     finally:
-        _set_threads(1)
+        setter(1)

@@ -4,13 +4,8 @@ stdout carries data, stderr carries diagnostics. Exit codes are a stable
 contract: 0 success or match, 1 verification mismatch, 2 invalid input,
 3 size cap exceeded, a result a double cannot hold, or out of memory.
 
-Importing this module runs BLAS on one thread: unless OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set, it sets all three
-to 1 before numpy loads. Most matrices the commands factor are small twin
-quotients, on which a second thread only burns CPU time. A factorization of
-order _blas.PARALLEL_ORDER or more runs on every core the process may use
-(see _blas). A count the user set is left as it is, and so is the count of
-a numpy that was loaded before this module.
+Importing this module calls _blas.pin() before numpy loads, which owns the
+BLAS thread policy: one thread unless the user set a count (see _blas).
 """
 
 from __future__ import annotations
@@ -19,14 +14,11 @@ import argparse
 import os
 import sys
 
-# BLAS reads the count once, when numpy loads: before the package imports below
-_PINNED = not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys()
-if _PINNED:
-    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-# the count is this module's to manage only if numpy loads after the pin
-_OWN_COUNT = _PINNED and "numpy" not in sys.modules
+from . import _blas
 
-from . import _blas, indexes
+_blas.pin()  # BLAS reads its thread count once, when numpy loads: before the imports below
+
+from . import indexes
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate
 from .corpus import DEFAULT_CORPUS_SPECS, graph_from_spec
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
@@ -42,9 +34,6 @@ from .spectral import (
     spectrum_iterated,
 )
 from .verify import run_verification
-
-if _OWN_COUNT:
-    _blas.enable()  # large factorizations may use every core again
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -92,6 +81,8 @@ def _spectrum_table(sigma: SpectrumMultiset) -> str:
 
 
 def cmd_gen(args) -> int:
+    if (args.family and args.family_flag) or (args.k is not None and args.k_flag is not None):
+        raise InvalidParameterError("gen takes the family and the size once each, positional or flag")
     family = args.family_flag or args.family
     k = args.k_flag if args.k_flag is not None else args.k
     if family is None or k is None:

@@ -248,8 +248,7 @@ def resistance_matrix(g: Graph, max_order: int = DEFAULT_EXACT_CAP) -> np.ndarra
     diag = pinv.diagonal().copy()
     # (d_i + d_j) - 2 p_ij, written into pinv: x - y is x + (-y) exactly
     pinv *= -2.0
-    pinv += diag[:, None] + diag[None, :]
-    np.fill_diagonal(pinv, 0.0)
+    pinv += diag[:, None] + diag[None, :]  # the diagonal, -2x + (x + x), is exactly +0.0
     return pinv
 
 

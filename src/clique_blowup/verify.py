@@ -18,7 +18,6 @@ true-twin quotient, the incidence rank and the resistances on N), and
 from __future__ import annotations
 
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import indexes
+from ._blas import cores
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
 from .graphs import (
@@ -376,7 +376,7 @@ def run_verification(
         tasks += [(name, g, base, n, r, tol, max_vertices, exact_cap)
                   for n in n_list for r in r_list]
     # every worker forks at once, so never ask for more than can run
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), cores())
     if workers > 1:
         # imported here: most runs are serial and need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -60,6 +60,21 @@ class TestGen:
         assert code == 0
         assert out == "0 1\n1 2\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("cycle", "5", "--family", "path", "--k", "3"), ("cycle", "5", "--family", "path"),
+         ("cycle", "5", "--k", "3")],
+    )
+    def test_a_value_given_twice_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_positional_and_the_other_flag(self, capsys):
+        code, out, _ = run(capsys, "gen", "cycle", "--k", "3")
+        assert code == 0
+        assert out == "0 1\n0 2\n1 2\n"
+
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "complete")
         assert code == 2
@@ -899,6 +914,51 @@ class TestThreadPin:
         )
         assert run_child(code) == "0 1\n1\n"
 
+    def test_cli_import_looks_up_no_openblas(self):
+        code = (
+            "import clique_blowup.cli\n"
+            "from clique_blowup import _blas\n"
+            "print(_blas._openblas.cache_info().currsize)\n"
+        )
+        assert run_child(code) == "0\n"
+
+    def test_numpy_loaded_first_keeps_its_count(self):
+        # the variables are still set, but the count is numpy's, so it is never raised
+        code = (
+            "import numpy, os\n"
+            "import clique_blowup.cli\n"
+            "from clique_blowup import _blas, eig_sym\n"
+            "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
+            f"print([os.environ[v] for v in {THREAD_VARS}], _blas._own_count,\n"
+            "      _blas._setter.cache_info().currsize)\n"
+        )
+        assert run_child(code) == "['1', '1', '1'] False 0\n"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or (os.cpu_count() or 1) < 2,
+        reason="needs an affinity mask narrower than the CPU count",
+    )
+    def test_verify_workers_are_capped_by_the_affinity_mask(self):
+        # one usable core of two or more: verify --jobs 2 runs serially
+        code = (
+            "import concurrent.futures, os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from clique_blowup import gen_family, run_verification\n"
+            "pools = []\n"
+            "class Pool:\n"  # records its worker count and maps serially: nothing forks
+            "    def __init__(self, max_workers):\n"
+            "        pools.append(max_workers)\n"
+            "    def __enter__(self):\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        pass\n"
+            "    map = staticmethod(map)\n"
+            "concurrent.futures.ProcessPoolExecutor = Pool\n"
+            "corpus = [('complete:3', gen_family('complete', 3))]\n"
+            "print(run_verification(corpus, [3], [1, 2], jobs=2).passed, pools)\n"
+        )
+        assert run_child(code) == "True []\n"
+
     def test_a_count_the_user_set_stands(self):
         code = f"import os, clique_blowup.cli; print([os.environ.get(v) for v in {THREAD_VARS}])"
         assert run_child(code, OMP_NUM_THREADS="3") == "['3', None, None]\n"
@@ -916,7 +976,7 @@ class TestThreadPin:
             "large = len(os.listdir('/proc/self/task'))\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    os._exit(_blas._set_threads is not None)\n"
+            "    os._exit(_blas._own_count)\n"
             "print(small, large > 1, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
         assert run_child(code) == "1 True 0\n"
@@ -927,9 +987,10 @@ class TestThreadPin:
             "import clique_blowup.cli, numpy, os\n"
             "from clique_blowup import _blas, eig_sym\n"
             "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
-            "print(_blas._set_threads, len(os.listdir('/proc/self/task')))\n"
+            "print(_blas._own_count, _blas._setter.cache_info().currsize,\n"
+            "      len(os.listdir('/proc/self/task')))\n"
         )
-        assert run_child(code, OPENBLAS_NUM_THREADS="1") == "None 1\n"
+        assert run_child(code, OPENBLAS_NUM_THREADS="1") == "False 0 1\n"
 
     @needs_two_cores
     def test_in_place_solve_is_bit_identical_on_two_threads(self):
@@ -946,7 +1007,7 @@ class TestThreadPin:
             "        expected = np.linalg.eigvalsh(m).tobytes()\n"
             "    print(eig_sym(m).tobytes() == expected,\n"
             "          eig_sym(m, overwrite=True).tobytes() == expected)\n"
-            "print(_blas._cores > 1)\n"
+            "print(_blas._own_count and _blas._setter() is not None)\n"
         )
         assert run_child(code) == "True True\nTrue True\nTrue\n"
 
@@ -962,14 +1023,15 @@ class TestThreadPin:
             "for g in graphs:\n"
             "    s = _shifted_inverse(_laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees))\n"
             "    print(np.array_equal(s, s.T), end=' ')\n"
-            "print(_blas._cores > 1)\n"
+            "print(_blas._own_count and _blas._setter() is not None)\n"
         )
         assert run_child(code) == "True " * 12 + "True\n"
 
     def test_threads_for_brackets_every_large_factorization(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(_blas, "_set_threads", calls.append)
-        monkeypatch.setattr(_blas, "_cores", 4)
+        monkeypatch.setattr(_blas, "_own_count", True)
+        monkeypatch.setattr(_blas, "_setter", lambda: calls.append)
+        monkeypatch.setattr(_blas, "cores", lambda: 4)
         order = _blas.PARALLEL_ORDER
         eig_sym(np.eye(order - 1))
         indexes._shifted_inverse(indexes._quotient_rows(gen_family("cycle", order - 1)))

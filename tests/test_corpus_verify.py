@@ -22,7 +22,7 @@ from clique_blowup import (
     laplacian_spectrum,
     run_verification,
 )
-from clique_blowup import _exact, blowup, graphs, indexes, verify
+from clique_blowup import _blas, _exact, blowup, graphs, indexes
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
 from conftest import graphs_with_twins, late_fill_graph, record_orders, set_physical_memory
@@ -230,7 +230,9 @@ class TestHarness:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        # the platform without an affinity mask: cores() falls back on the CPU count
+        monkeypatch.delattr(_blas.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_blas.os, "cpu_count", lambda: cpus)
         corpus = [("complete:2", gen_family("complete", 2))]
         report = run_verification(corpus, [3], [1, 2], jobs=jobs)
         assert report.passed

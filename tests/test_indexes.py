@@ -43,6 +43,7 @@ from conftest import (
     connected_graphs,
     graphs_with_twins,
     laplacian,
+    late_fill_graph,
     record_orders,
     set_physical_memory,
     sparse_rows,
@@ -133,7 +134,11 @@ class TestResistance:
     def test_equals_two_step_reference(self, corpus):
         # reference: the same solve keeping every intermediate array, bit for bit
         blown = blowup_iterate(gen_family("cycle", 5), BlowupParams(4, 2))
-        for g in [g for _, g in corpus] + [blown]:
+        blowups = [blowup_iterate(g, BlowupParams(4, 1)) for _, g in corpus]
+        large = [gen_family("cycle", 200), gen_family("path", 200), gen_family("complete", 150)]
+        seeded = [late_fill_graph(core, tail, seed)
+                  for core, tail, seed in ((10, 40, 3), (60, 5, 4), (149, 1, 5))]
+        for g in [g for _, g in corpus] + [blown] + blowups + large + seeded:
             size = g.vertex_count
             shifted = laplacian(g).astype(float) + 1.0 / size
             inv_factor = np.linalg.inv(np.linalg.cholesky(shifted))
