@@ -114,15 +114,20 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     """Exact determinant of the q x q integer matrix with sparse rows ``{column: entry}``.
 
     Columns lie in 0 .. q-1 (else ValueError); the rows are not consumed.
-    |det| <= B with B**2 = prod_i sum_j a_ij**2 over the nonzeros (Hadamard),
-    and B may be the smaller prod_i a_ii where ``_dominant_diagonal`` finds
-    the matrix positive semidefinite. So for a product M of primes below
-    2**31 with M > 2B the residue mod M, lifted to the symmetric range, is
-    det. Rows and columns are first permuted by one symmetric permutation
-    into ascending order of nonzero count, which leaves the determinant unchanged (det PAP^T = det A); on a
-    graph Laplacian minor this eliminates the lowest-degree vertices first,
-    so the fill stays inside their cliques (the minimum-degree ordering of
-    Markowitz 1957 and Rose 1972).
+    |det| <= B with B**2 = prod_i sum_j a_ij**2 over the nonzeros (Hadamard).
+    Where the rows are symmetric with a weakly dominant diagonal, 2 a_ii >=
+    sum_j |a_ij|, the diagonal of nonzero rows is positive, and by Gershgorin
+    every eigenvalue lies in some [a_ii - r_i, a_ii + r_i] with r_i <= a_ii:
+    the matrix is positive semidefinite, and Hadamard's inequality for those
+    gives the smaller B = prod_i a_ii. A Laplacian minor is one. So for a
+    product M of primes below 2**31 with M > 2B the residue mod M, lifted to
+    the symmetric range, is det. Rows and columns are permuted by one
+    symmetric permutation into ascending order of nonzero count, which leaves
+    the determinant unchanged (det PAP^T = det A); on a graph Laplacian minor
+    this eliminates the lowest-degree vertices first, so the fill stays
+    inside their cliques (the minimum-degree ordering of Markowitz 1957 and
+    Rose 1972). One pass over the rows in that order checks the columns,
+    takes both bounds and makes the permuted rows.
 
     This is structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
     1990) in one pass. ``_eliminate`` pivots on the sparse rows modulo M
@@ -135,25 +140,34 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     the default ``verify`` grid never reach the numpy loop.
     """
     size = len(rows)
-    bound_sq = 1
-    for row in rows:
+    order = sorted(range(size), key=lambda i: len(rows[i]))
+    position = {i: k for k, i in enumerate(order)}
+    bound_sq, diagonal, sparse = 1, 1, []
+    for i in order:
+        row = rows[i]
         if not all(0 <= j < size for j in row):
             raise ValueError(f"column index outside 0..{size - 1}")
         bound_sq *= sum(x * x for x in row.values())
+        pivot = row.get(i, 0)
+        if not diagonal or 2 * pivot < sum(map(abs, row.values())):
+            diagonal = 0  # not dominant: no diagonal bound
+        else:
+            for j, x in row.items():  # a loop, not any(): half the time on the verify grid
+                if rows[j].get(i, 0) != x:
+                    pivot = 0  # not symmetric
+                    break
+            diagonal *= pivot
+        # a nonzero entry is nonzero mod M too: M > 2B >= 2|x|
+        sparse.append({position[j]: x for j, x in row.items() if x})
     if not bound_sq:
         return 0  # a zero row
-    diagonal = _dominant_diagonal(rows)
-    if diagonal is not None:
-        bound_sq = min(bound_sq, diagonal * diagonal)
-    order = sorted(range(size), key=lambda i: len(rows[i]))
+    if diagonal:
+        bound_sq = diagonal * diagonal  # a_ii**2 <= sum_j a_ij**2, so never larger
     plist: list[int] = []
     modulus = 1
     while modulus * modulus <= 4 * bound_sq:
         plist = _primes(len(plist) + 1)
         modulus *= plist[-1]
-    position = {i: k for k, i in enumerate(order)}
-    # a nonzero entry is nonzero mod M too: M > 2B >= 2|x|
-    sparse = [{position[j]: x for j, x in rows[i].items() if x} for i in order]
     pivot_rows, value, stop = _eliminate(sparse, size, modulus, FILL_LIMIT * size)
     if len(pivot_rows) < stop:
         return 0
@@ -164,27 +178,6 @@ def modular_determinant(rows: list[dict[int, int]]) -> int:
     if _is_odd(pivot_rows + rest):
         value = -value % modulus
     return value - modulus if 2 * value > modulus else value
-
-
-def _dominant_diagonal(rows: list[dict[int, int]]) -> int | None:
-    """prod_i a_ii where the rows are symmetric with a weakly dominant diagonal.
-
-    Dominance, 2 a_ii >= sum_j |a_ij|, makes the diagonal of nonzero rows
-    positive. By Gershgorin every eigenvalue then lies in some
-    [a_ii - r_i, a_ii + r_i] with r_i <= a_ii, so a symmetric such matrix
-    is positive semidefinite and Hadamard's inequality for those gives
-    det <= prod_i a_ii. A Laplacian minor is one. None for any other matrix.
-    """
-    product = 1
-    for i, row in enumerate(rows):
-        pivot = row.get(i, 0)
-        if 2 * pivot < sum(map(abs, row.values())):
-            return None
-        for j, x in row.items():  # a loop, not any(): half the time on the verify grid
-            if rows[j].get(i, 0) != x:
-                return None
-        product *= pivot
-    return product
 
 
 def modular_rank(rows: list[dict[int, int]], width: int) -> int:

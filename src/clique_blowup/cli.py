@@ -81,12 +81,18 @@ def _spectrum_table(sigma: SpectrumMultiset) -> str:
 
 
 def cmd_gen(args) -> int:
-    if (args.family and args.family_flag) or (args.k is not None and args.k_flag is not None):
+    # positional values fill, in order, whichever of family and size no flag gave
+    values = iter(args.values)
+    family = args.family if args.family is not None else next(values, None)
+    k = args.k if args.k is not None else next(values, None)
+    if next(values, None) is not None:
         raise InvalidParameterError("gen takes the family and the size once each, positional or flag")
-    family = args.family_flag or args.family
-    k = args.k_flag if args.k_flag is not None else args.k
     if family is None or k is None:
         raise InvalidParameterError("gen needs a family and a size (positional or flags)")
+    try:
+        k = int(k)
+    except ValueError:
+        raise InvalidParameterError(f"gen size must be an integer, got {k!r}") from None
     g = gen_family(family, k)
     _write_output(serialize_edge_list(g), args.output)
     return EXIT_OK
@@ -284,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_gen = sub.add_parser("gen", help="generate a family graph edge list")
-    p_gen.add_argument("family", nargs="?", choices=GRAPH_FAMILIES)
-    p_gen.add_argument("k", nargs="?", type=int)
-    p_gen.add_argument("--family", dest="family_flag", choices=GRAPH_FAMILIES)
-    p_gen.add_argument("--k", dest="k_flag", type=int)
+    p_gen.add_argument("values", nargs="*", metavar="FAMILY SIZE",
+                       help="the family, then the size, where no flag gives them")
+    p_gen.add_argument("--family", choices=GRAPH_FAMILIES)
+    p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -25,7 +25,6 @@ can never manufacture a false match.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -108,13 +107,6 @@ class SpectrumMultiset:
             out.extend([float(value)] * mult)
         return out
 
-    def multiplicity_at(self, value: float) -> int:
-        """Multiplicity of the entry within cluster_tol of value (0 if none)."""
-        for v, m in self.entries:
-            if abs(float(v) - value) <= self.cluster_tol:
-                return m
-        return 0
-
     @staticmethod
     def from_eigenvalues(
         values, cluster_tol: float = DEFAULT_CLUSTER_TOL
@@ -171,17 +163,6 @@ class SpectrumMultiset:
             f'{{"order":{self.order},"cluster_tol":{self.cluster_tol:.17g},'
             f'"entries":[{entries}]}}'
         )
-
-    @staticmethod
-    def from_json(text: str) -> "SpectrumMultiset":
-        doc = json.loads(text)
-        spectrum = SpectrumMultiset(
-            tuple((float(v), int(m)) for v, m in doc["entries"]),
-            cluster_tol=float(doc["cluster_tol"]),
-        )
-        if spectrum.order != int(doc["order"]):
-            raise InvalidParameterError("order field disagrees with entries")
-        return spectrum
 
 
 @dataclass(frozen=True)
@@ -295,8 +276,8 @@ def eig_sym(
     syevd = _blas.syevd()
     in_place = (syevd is not None and overwrite and deviation == 0.0
                 and matrix.flags.c_contiguous and matrix.flags.writeable)
-    if not in_place:
-        require_memory(8 * order * order, f"a matrix of order {order}")  # eigvalsh's copy
+    if not in_place:  # eigvalsh's copy beside the matrix it copies
+        require_memory(16 * order * order, f"a matrix of order {order} and its copy")
     with _blas.threads_for(order):
         if not in_place:
             values = np.linalg.eigvalsh(matrix)

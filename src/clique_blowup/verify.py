@@ -39,6 +39,7 @@ from .graphs import (
 from .spectral import (
     DEFAULT_MATCH_TOL,
     SpectrumMultiset,
+    _require_laplacian,
     laplacian_spectrum,
     multiset_match,
     spectrum_iterated,
@@ -361,9 +362,18 @@ def run_verification(
     exact_cap: int = indexes.DEFAULT_EXACT_CAP,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Run the full suite over corpus x n_list x r_list (every n >= 3, r >= 1)."""
+    """Run the full suite over corpus x n_list x r_list (every n >= 3, r >= 1).
+
+    A grid outside that range, or a corpus graph that is disconnected or has
+    an isolated vertex, raises InvalidParameterError before any check runs.
+    """
     if min(n_list, default=3) < 3 or min(r_list, default=1) < 1:
         raise InvalidParameterError("verify needs every n >= 3 and every r >= 1")
+    for name, g in corpus:  # no route can check a graph without a normalized Laplacian
+        try:
+            _require_laplacian(g)
+        except CliqueBlowupError as exc:
+            raise InvalidParameterError(f"corpus graph {name}: {exc}") from None
     results: list[CheckResult] = []
     r_max = max(r_list, default=0)
     tasks = []

@@ -12,6 +12,7 @@ import pytest
 import clique_blowup
 from clique_blowup import (
     BlowupParams,
+    NumericalFailureError,
     _blas,
     _exact,
     blowup,
@@ -21,6 +22,7 @@ from clique_blowup import (
     gen_family,
     indexes,
     tau_blowup_closed,
+    verify,
 )
 from clique_blowup.cli import main
 
@@ -63,17 +65,31 @@ class TestGen:
     @pytest.mark.parametrize(
         "argv",
         [("cycle", "5", "--family", "path", "--k", "3"), ("cycle", "5", "--family", "path"),
-         ("cycle", "5", "--k", "3")],
+         ("cycle", "5", "--k", "3"), ("path", "3", "4"), ("--k", "3", "path", "4")],
     )
     def test_a_value_given_twice_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: gen takes the family and the size once each, positional or flag\n"
 
     def test_one_positional_and_the_other_flag(self, capsys):
         code, out, _ = run(capsys, "gen", "cycle", "--k", "3")
         assert code == 0
         assert out == "0 1\n0 2\n1 2\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(("--family", "path", "3"), "0 1\n1 2\n"), (("3", "--family", "path"), "0 1\n1 2\n"),
+         (("--k", "3", "cycle"), "0 1\n0 2\n1 2\n")],
+    )
+    def test_a_positional_fills_the_value_no_flag_gave(self, capsys, argv, expected):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_a_positional_size_must_be_an_integer(self, capsys):
+        code, out, err = run(capsys, "gen", "path", "x")
+        assert (code, out) == (2, "")
+        assert err == "error: gen size must be an integer, got 'x'\n"
 
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "complete")
@@ -775,22 +791,40 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.endswith("RESULT: PASS (20 checks, 0 failures, 0 skipped)\n")
 
-    def test_failing_graph_fails_its_cells(self, capsys):
-        # path:1 has an isolated vertex: its structural checks and its one
+    def test_failing_graph_fails_its_cells(self, capsys, monkeypatch):
+        # the eigensolve of complete:2 fails: its structural checks and its one
         # cell each fail once, and path:3 still runs
+        solve = verify.laplacian_spectrum
+
+        def failing(g, *args, **kwargs):
+            if g.vertex_count == 2:
+                raise NumericalFailureError("dsyevd returned info 1")
+            return solve(g, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "laplacian_spectrum", failing)
         code, out, err = run(
-            capsys, "verify", "--corpus", "path:1,path:3", "--n-list", "3", "--r-list", "1",
+            capsys, "verify", "--corpus", "complete:2,path:3", "--n-list", "3", "--r-list", "1",
         )
         assert code == 1
         assert out == (
-            "graph   structural  n=3,r=1\n"
-            "path:1  FAIL        FAIL   \n"
-            "path:3  ok          ok     \n"
+            "graph       structural  n=3,r=1\n"
+            "complete:2  FAIL        FAIL   \n"
+            "path:3      ok          ok     \n"
             "RESULT: FAIL (24 checks, 2 failures, 0 skipped)\n"
         )
         assert err == (
-            "first failure: structural on path:1: "
-            "error: normalized Laplacian needs every degree >= 1\n"
+            "first failure: structural on complete:2: error: dsyevd returned info 1\n"
+        )
+
+    @pytest.mark.parametrize("spec", ["path:1", "star:1"])
+    def test_one_vertex_corpus_graph_exits_2(self, capsys, spec):
+        # no route can check a graph without edges, so nothing runs
+        code, out, err = run(
+            capsys, "verify", "--corpus", f"path:3,{spec}", "--n-list", "3", "--r-list", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: corpus graph {spec}: normalized Laplacian needs every degree >= 1\n"
         )
 
     @pytest.mark.parametrize(
@@ -819,8 +853,8 @@ class TestVerify:
             "verify", "--corpus", "path:1", "--n-list", "3", "--r-list", "1",
             "--max-vertices", "0",
         )
-        assert code == 1
-        assert "path:1  FAIL        skip   " in out
+        assert (code, out) == (2, "")
+        assert err.startswith("error: corpus graph path:1: ") and err.count("\n") == 1
         assert "needs every degree >= 1" in err
 
     @pytest.mark.parametrize("grid", [["--n-list", "2"], ["--r-list", "0"], ["--r-list=-1"]])

@@ -22,7 +22,7 @@ from clique_blowup import (
     laplacian_spectrum,
     run_verification,
 )
-from clique_blowup import _blas, _exact, blowup, graphs, indexes
+from clique_blowup import _blas, _exact, blowup, graphs, indexes, verify
 from clique_blowup.verify import base_facts, cell_checks, graph_checks
 
 from conftest import graphs_with_twins, late_fill_graph, record_orders, set_physical_memory
@@ -199,6 +199,17 @@ class TestHarness:
         matrix = report.matrix(["complete:2"])
         assert "n=3,r=1" in matrix and "ok" in matrix
         assert "PASS" in report.summary()
+
+    @pytest.mark.parametrize(
+        "bad", [Graph(1, []), Graph(4, [(0, 1), (2, 3)])], ids=["one-vertex", "disconnected"]
+    )
+    def test_a_graph_without_a_normalized_laplacian_is_refused_first(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(verify, "base_facts", lambda *args: calls.append(args))
+        corpus = [("complete:3", gen_family("complete", 3)), ("bad", bad)]
+        with pytest.raises(InvalidParameterError, match="^corpus graph bad: "):
+            run_verification(corpus, [3], [1])
+        assert calls == []
 
     def test_parallel_matches_serial(self):
         corpus = [("complete:3", gen_family("complete", 3)),

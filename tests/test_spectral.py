@@ -237,7 +237,8 @@ class TestInPlaceSolve:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(8, 2))
-        assert laplacian_spectrum(g).multiplicity_at(8 / 7) == 2200
+        sigma = laplacian_spectrum(g)
+        assert [m for v, m in sigma.entries if abs(v - 8 / 7) <= sigma.cluster_tol] == [2200]
 
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_fallback_without_the_symbol_gives_the_same_bits(self, monkeypatch, overwrite):
@@ -279,7 +280,16 @@ class TestInPlaceSolve:
             eig_sym(np.eye(order))
         set_physical_memory(monkeypatch, 8 * order * order)
         assert laplacian_spectrum(g).order == g.vertex_count
-        eig_sym(np.eye(order))
+        eig_sym(np.eye(order), overwrite=True)
+
+    def test_memory_cap_of_the_copy_path_counts_the_matrix_and_its_copy(self, monkeypatch):
+        # eigvalsh copies the matrix, so two arrays are held at once
+        order = 30
+        set_physical_memory(monkeypatch, 16 * order * order - 1)
+        with pytest.raises(SizeCapExceededError, match="physical memory"):
+            eig_sym(np.eye(order))
+        set_physical_memory(monkeypatch, 16 * order * order)
+        assert eig_sym(np.eye(order)).entries == ((1.0, order),)
 
 
 def edge_remap_quotient(edges, class_of, size, degree):
@@ -352,7 +362,7 @@ class TestTwinDeflation:
         sigma = laplacian_spectrum(g)
         assert orders == [520]
         assert sigma.order == 2620
-        assert sigma.multiplicity_at(8 / 7) == 2200
+        assert [m for v, m in sigma.entries if abs(v - 8 / 7) <= sigma.cluster_tol] == [2200]
 
     def test_rejects_single_vertex(self):
         with pytest.raises(DegreeZeroError):
@@ -419,8 +429,8 @@ class TestSpectrumMultiset:
 
     def test_multiplicity_lookup(self):
         sigma = SpectrumMultiset(((0.0, 1), (1.25, 9)))
-        assert sigma.multiplicity_at(1.25) == 9
-        assert sigma.multiplicity_at(1.2) == 0
+        assert dict(sigma.entries)[1.25] == 9
+        assert 1.2 not in dict(sigma.entries)
 
     def test_exactness_tracking(self):
         assert SIGMA_K3.is_exact
@@ -430,15 +440,6 @@ class TestSpectrumMultiset:
         sigma = laplacian_spectrum(gen_family("cycle", 5))
         text = sigma.to_json()
         assert text == sigma.to_json()
-        back = SpectrumMultiset.from_json(text)
-        assert back.flatten() == sigma.flatten()
-        assert back.to_json() == text
-
-    def test_json_rejects_bad_order(self):
-        with pytest.raises(InvalidParameterError):
-            SpectrumMultiset.from_json(
-                '{"order":5,"cluster_tol":1e-06,"entries":[[0,1],[1.5,2]]}'
-            )
 
 
 class TestTheoremMapping:
@@ -555,7 +556,7 @@ class TestIteratedMapping:
     def test_two_steps_triangle_top_multiplicity(self):
         mapped = spectrum_iterated(SIGMA_K3, 3, 3, BlowupParams(5, 2), bipartite=False)
         assert mapped.order == 102
-        assert mapped.multiplicity_at(1.25) == (5 - 3) * 30 + 12
+        assert dict(mapped.entries)[Fraction(5, 4)] == (5 - 3) * 30 + 12
         blown = blowup_iterate(gen_family("complete", 3), BlowupParams(5, 2))
         assert multiset_match(mapped, laplacian_spectrum(blown), 1e-7).matched
 
