@@ -111,19 +111,13 @@ def cmd_spectra(args) -> int:
     g = _load_graph(args.input)
     params = BlowupParams(args.n, args.r)
 
+    check_spectrum_input(g, max_order=args.max_vertices)  # the base graph's errors come first
     themed = numeric = None
-    if args.method in ("theorem", "both"):
+    if args.method != "numeric":
         base = laplacian_spectrum(g, max_order=args.max_vertices)
-        if params.r == 0:
-            themed = base
-        else:
-            themed = spectrum_iterated(
-                base, g.vertex_count, g.edge_count, params, bipartition(g).is_bipartite
-            )
-    if args.method == "numeric":
-        # the base graph's errors come first, as for the other methods
-        check_spectrum_input(g, max_order=args.max_vertices)
-    if args.method in ("numeric", "both"):
+        bipartite = bipartition(g).is_bipartite
+        themed = spectrum_iterated(base, g.vertex_count, g.edge_count, params, bipartite)
+    if args.method != "theorem":
         blown = blowup_iterate(g, params, max_vertices=args.max_vertices)
         numeric = laplacian_spectrum(blown, max_order=args.max_vertices)
 
@@ -162,10 +156,9 @@ def _report_table_row(report: IndexReport) -> str:
 
 def cmd_indexes(args) -> int:
     g = _load_graph(args.input)
-    r = args.r if args.r is not None else 0
-    if r >= 1 and args.n is None:
+    if args.r >= 1 and args.n is None:
         raise InvalidParameterError("--n is required when r >= 1")
-    params = BlowupParams(args.n if args.n is not None else 3, r)
+    params = BlowupParams(args.n if args.n is not None else 3, args.r)
 
     routes = indexes.ROUTES if args.route == "all" else (args.route,)
     reports = {
@@ -313,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx = sub.add_parser("indexes", help="Kf*, Kemeny constant, spanning trees")
     p_idx.add_argument("--input", required=True)
     p_idx.add_argument("--n", type=int, default=None)
-    p_idx.add_argument("--r", type=int, default=None, help="iteration depth (default 0)")
+    p_idx.add_argument("--r", type=int, default=0, help="iteration depth (default 0)")
     p_idx.add_argument("--route", choices=(*indexes.ROUTES, "all"), default="all")
     p_idx.add_argument("--format", choices=("table", "json"), default="table")
     p_idx.add_argument("--output", default=None)

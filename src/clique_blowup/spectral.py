@@ -304,8 +304,9 @@ def laplacian_spectrum(
 
     A class of k true twins of degree d contributes 1 + 1/d with
     multiplicity k - 1 (on a vector x supported on the class with sum 0,
-    Ax = -x), and eig_sym solves only the quotient over the classes, in
-    place: the one q x q array this holds.
+    Ax = -x), and eig_sym solves only the quotient over the classes: in
+    place where dsyevd is bound, the one q x q array this holds, else beside
+    eigvalsh's copy. Those bytes are checked before the quotient is built.
     """
     check_spectrum_input(g, max_order)
     _, sizes, degrees, links = g._twins
@@ -315,7 +316,8 @@ def laplacian_spectrum(
         value = 1.0 + 1.0 / float(d)
         deflated[value] = deflated.get(value, 0) + int(k) - 1
     q = len(sizes)
-    require_memory(8 * q * q, f"a matrix of order {q}")
+    copy = "" if _blas.syevd() else " and its copy"  # eig_sym's copy path without dsyevd
+    require_memory((16 if copy else 8) * q * q, f"a matrix of order {q}{copy}")
     # positional: record_orders and the benchmark's tracer read the matrix from args[0]
     quotient = eig_sym(
         _quotient_laplacian(links, size, degree), cluster_tol, max_order, overwrite=True
@@ -430,15 +432,14 @@ def spectrum_iterated(
     params: BlowupParams,
     bipartite: bool,
 ) -> SpectrumMultiset:
-    """Apply the spectrum mapping r times, tracking counts level by level.
+    """Apply the spectrum mapping r >= 0 times, tracking counts level by level.
 
+    At r = 0 no level runs: sigma_g comes back as it is, cluster_tol too.
     The bipartite flag matters only at the first level: every blowup puts a
     triangle through each edge, so deeper levels are never bipartite. A
     float level whose smallest nonzero value is below the smallest normal
     double has lost precision to underflow and raises SizeCapExceededError.
     """
-    if params.r < 1:
-        raise InvalidParameterError("iterated mapping needs r >= 1")
     sigma = sigma_g
     levels = count_sequence(n0, e0, params.n, params.r)
     for level, (vertices, edges) in enumerate(levels[:-1], start=1):

@@ -364,11 +364,16 @@ def run_verification(
 ) -> VerifyReport:
     """Run the full suite over corpus x n_list x r_list (every n >= 3, r >= 1).
 
-    A grid outside that range, or a corpus graph that is disconnected or has
-    an isolated vertex, raises InvalidParameterError before any check runs.
+    A grid outside that range, an n, r or corpus name given twice, or a corpus
+    graph that is disconnected or has an isolated vertex, raises
+    InvalidParameterError before any check runs.
     """
     if min(n_list, default=3) < 3 or min(r_list, default=1) < 1:
         raise InvalidParameterError("verify needs every n >= 3 and every r >= 1")
+    for label, values in (("n", n_list), ("r", r_list), ("corpus spec", [s for s, _ in corpus])):
+        for i, value in enumerate(values):  # a repeat would run, and print, its checks twice
+            if value in values[:i]:
+                raise InvalidParameterError(f"verify takes each {label} once, got {value} twice")
     for name, g in corpus:  # no route can check a graph without a normalized Laplacian
         try:
             _require_laplacian(g)

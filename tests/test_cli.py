@@ -25,6 +25,7 @@ from clique_blowup import (
     verify,
 )
 from clique_blowup.cli import main
+from clique_blowup.corpus import DEFAULT_CORPUS_SPECS
 
 from conftest import late_fill_graph, set_physical_memory
 
@@ -311,6 +312,7 @@ class TestSpectra:
         assert code == 0
         assert solved == [15]
 
+    @pytest.mark.parametrize("method", ["numeric", "theorem", "both"])
     @pytest.mark.parametrize(
         "spec, extra, code, message",
         [
@@ -318,11 +320,27 @@ class TestSpectra:
             ("path:4", ("--max-vertices", "3"), 3, "error: matrix order 4 exceeds cap 3\n"),
         ],
     )
-    def test_numeric_method_keeps_base_graph_errors(self, capsys, spec, extra, code, message):
+    def test_numeric_method_keeps_base_graph_errors(
+        self, capsys, spec, extra, code, message, method
+    ):
+        # every method checks the base graph first, so each fails the same way
         got, out, err = run(
-            capsys, "spectra", "--input", spec, "--n", "3", "--method", "numeric", *extra
+            capsys, "spectra", "--input", spec, "--n", "3", "--method", method, *extra
         )
         assert (got, out, err) == (code, "", message)
+
+    @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)
+    def test_depth_zero_theorem_writes_the_numeric_bytes(self, capsys, spec):
+        # at r = 0 the mapping is the identity and the blowup is the input graph
+        theorem, numeric = (
+            run(
+                capsys, "spectra", "--input", spec, "--n", "3", "--r", "0",
+                "--method", method, "--format", "json",
+            )
+            for method in ("theorem", "numeric")
+        )
+        assert theorem == numeric
+        assert theorem[0] == 0 and theorem[2] == ""
 
     def test_numeric_method_rejects_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "two.txt"
@@ -815,6 +833,21 @@ class TestVerify:
         assert err == (
             "first failure: structural on complete:2: error: dsyevd returned info 1\n"
         )
+
+    @pytest.mark.parametrize(
+        "flag, values, message",
+        [
+            ("--corpus", "complete:2,path:3,complete:2", "corpus spec once, got complete:2"),
+            ("--corpus", "path:3, path:3", "corpus spec once, got path:3"),
+            ("--n-list", "3,4,3", "n once, got 3"),
+            ("--r-list", "1,1", "r once, got 1"),
+        ],
+    )
+    def test_a_repeated_grid_value_exits_2(self, capsys, flag, values, message):
+        # a repeat would run its checks twice and print a row or column twice
+        grid = {"--corpus": "path:3", "--n-list": "3", "--r-list": "1", flag: values}
+        code, out, err = run(capsys, "verify", *[x for item in grid.items() for x in item])
+        assert (code, out, err) == (2, "", f"error: verify takes each {message} twice\n")
 
     @pytest.mark.parametrize("spec", ["path:1", "star:1"])
     def test_one_vertex_corpus_graph_exits_2(self, capsys, spec):

@@ -211,6 +211,22 @@ class TestHarness:
             run_verification(corpus, [3], [1])
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "specs, n_list, r_list, message",
+        [
+            (["complete:3", "complete:3"], [3], [1], "each corpus spec once, got complete:3 twice"),
+            (["complete:3"], [3, 4, 3], [1], "each n once, got 3 twice"),
+            (["complete:3"], [3], [1, 2, 1], "each r once, got 1 twice"),
+        ],
+    )
+    def test_a_repeated_grid_value_is_refused_first(self, monkeypatch, specs, n_list, r_list, message):
+        calls = []
+        monkeypatch.setattr(verify, "base_facts", lambda *args: calls.append(args))
+        corpus = [(spec, gen_family("complete", 3)) for spec in specs]
+        with pytest.raises(InvalidParameterError, match=f"^verify takes {message}$"):
+            run_verification(corpus, n_list, r_list)
+        assert calls == []
+
     def test_parallel_matches_serial(self):
         corpus = [("complete:3", gen_family("complete", 3)),
                   ("cycle:4", gen_family("cycle", 4))]

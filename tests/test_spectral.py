@@ -282,6 +282,22 @@ class TestInPlaceSolve:
         assert laplacian_spectrum(g).order == g.vertex_count
         eig_sym(np.eye(order), overwrite=True)
 
+    def test_memory_cap_without_dsyevd_counts_the_copy_before_the_quotient(self, monkeypatch):
+        # where dsyevd is not bound, eig_sym copies the quotient: 16 q^2 bytes, checked first
+        monkeypatch.setattr(_blas, "syevd", lambda: None)
+        g = blowup_iterate(graph_from_spec("petersen"), BlowupParams(4, 1))
+        order = len(g._twins[1])
+        assert order == 25
+        built = record_orders(monkeypatch, spectral, "_quotient_laplacian")
+        set_physical_memory(monkeypatch, 8 * order * order)
+        message = "a matrix of order 25 and its copy would need 10000 bytes"
+        with pytest.raises(SizeCapExceededError, match=message):
+            laplacian_spectrum(g)
+        assert built == []
+        set_physical_memory(monkeypatch, 16 * order * order)
+        assert laplacian_spectrum(g).order == g.vertex_count
+        assert len(built) == 1
+
     def test_memory_cap_of_the_copy_path_counts_the_matrix_and_its_copy(self, monkeypatch):
         # eigvalsh copies the matrix, so two arrays are held at once
         order = 30
@@ -560,9 +576,14 @@ class TestIteratedMapping:
         blown = blowup_iterate(gen_family("complete", 3), BlowupParams(5, 2))
         assert multiset_match(mapped, laplacian_spectrum(blown), 1e-7).matched
 
-    def test_depth_zero_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            spectrum_iterated(SIGMA_K3, 3, 3, BlowupParams(5, 0), bipartite=False)
+    def test_depth_zero_is_the_identity(self):
+        # CL^0(G) = G: no level runs, so the entries and cluster_tol come back as given
+        numeric = laplacian_spectrum(gen_family("cycle", 4))
+        for sigma in (SIGMA_C4, numeric, SpectrumMultiset(((0.0, 1), (1.5, 2)), 1e-3)):
+            for bipartite in (False, True):
+                mapped = spectrum_iterated(sigma, 4, 4, BlowupParams(5, 0), bipartite)
+                assert mapped.entries == sigma.entries
+                assert mapped.cluster_tol == sigma.cluster_tol
 
     def test_float_level_below_the_normal_range_raises(self):
         # 1.5 / 999^103 = 1.66e-309 is subnormal; the exact value is not rounded
