@@ -26,8 +26,6 @@ Where the symbol is missing it returns None and eig_sym calls eigvalsh.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
 import sys
 from contextlib import contextmanager
@@ -72,8 +70,10 @@ def cores() -> int:
 
 
 @cache
-def _openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS numpy has loaded, or None where it cannot be found."""
+def _openblas():
+    """The ``ctypes.CDLL`` of the OpenBLAS numpy has loaded, or None where it cannot be found."""
+    import ctypes
+    import glob
     import numpy
 
     rtld_noload = getattr(os, "RTLD_NOLOAD", None)
@@ -95,6 +95,7 @@ def _openblas() -> ctypes.CDLL | None:
 @cache
 def _setter():
     """OpenBLAS's set-count entry point, or None where numpy's OpenBLAS cannot be found."""
+    import ctypes
     lib = _openblas()
     setter = lib and next(getattr(lib, name) for name in _SETTERS if hasattr(lib, name))
     if setter:
@@ -115,6 +116,7 @@ def syevd():
     routine = getattr(_openblas(), _SYEVD, None)
     if routine is None:
         return None
+    import ctypes
     import numpy as np
 
     ref, long = ctypes.byref, ctypes.POINTER(ctypes.c_int64)

@@ -16,7 +16,9 @@ determinant that the tests compare against. All routines are exact; they
 exist so that rank dichotomies, spanning-tree counts and Kf* never depend on
 floating-point rounding. The two checks a capped routine makes before it
 allocates live here too: ``require_within_cap`` on its order and
-``require_memory`` on its predicted bytes.
+``require_memory`` on its predicted bytes. So do ``ROUTES``, ``DEFAULT_MATCH_TOL``
+and ``require_tolerance``, which the command line's parser reads without numpy:
+this module imports numpy only inside its dense loop.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import math
 import os
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import NumericalFailureError, SizeCapExceededError
+from .errors import InvalidParameterError, NumericalFailureError, SizeCapExceededError
 
 DEFAULT_EXACT_CAP = 200  # the order a capped routine may work at, by default
+DEFAULT_MATCH_TOL = 1e-7  # relative: of multiset_match, and spectra's and verify's --tol
+ROUTES = ("spectral", "closed_form", "oracle")  # the routes to Kf*, Kemeny and tau
 
 # Entries per matrix row that the pivots left may touch before the sparse
 # determinant hands the rows left to the numpy loop (see _eliminate). On dense
@@ -108,6 +110,13 @@ def require_memory(nbytes: int, what: str) -> None:
         raise SizeCapExceededError(
             f"{what} would need {nbytes} bytes, more than the {limit} of physical memory"
         )
+
+
+def require_tolerance(tol: float) -> float:
+    """Return tol if it is a finite number >= 0, else raise InvalidParameterError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def modular_determinant(rows: list[dict[int, int]]) -> int:
@@ -279,6 +288,7 @@ def _dense_determinant(rows: list[dict[int, int]], plist: list[int]) -> int:
     one array and the update's temporary, whatever the prime count; its
     predicted bytes are checked first.
     """
+    import numpy as np
     size = len(rows)
     require_memory(DENSE_BYTES * size * size, f"a dense determinant of order {size}")
     nonzeros = sum(map(len, rows))

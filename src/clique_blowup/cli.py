@@ -5,7 +5,12 @@ contract: 0 success or match, 1 verification mismatch, 2 invalid input,
 3 size cap exceeded, a result a double cannot hold, or out of memory.
 
 Importing this module calls _blas.pin() before numpy loads, which owns the
-BLAS thread policy: one thread unless the user set a count (see _blas).
+BLAS thread policy: one thread unless the user set a count (see _blas). Its
+top imports load no numpy, so neither do ``gen``, ``blowup``, ``--help`` and
+usage errors. numpy loads in ``spectra``, ``indexes`` and ``verify`` only,
+each through ``from . import <module>`` in its body: the package's
+``__getattr__`` then loads every submodule (``bench/tracer.py`` looks them all
+up in ``sys.modules``), where ``from .spectral import ...`` would not.
 """
 
 from __future__ import annotations
@@ -16,24 +21,13 @@ import sys
 
 from . import _blas
 
-_blas.pin()  # BLAS reads its thread count once, when numpy loads: before the imports below
+_blas.pin()  # BLAS reads its thread count once, when numpy loads: before any command runs
 
-from . import indexes
+from ._exact import DEFAULT_EXACT_CAP, DEFAULT_MATCH_TOL, ROUTES, require_tolerance
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate
 from .corpus import DEFAULT_CORPUS_SPECS, graph_from_spec
 from .errors import CliqueBlowupError, InvalidParameterError, SizeCapExceededError
 from .graphs import GRAPH_FAMILIES, Graph, bipartition, gen_family, parse_edge_list, serialize_edge_list
-from .indexes import IndexReport
-from .spectral import (
-    DEFAULT_MATCH_TOL,
-    SpectrumMultiset,
-    check_spectrum_input,
-    laplacian_spectrum,
-    multiset_match,
-    require_tolerance,
-    spectrum_iterated,
-)
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,7 +70,7 @@ def _write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _spectrum_table(sigma: SpectrumMultiset) -> str:
+def _spectrum_table(sigma) -> str:
     return "".join(f"{float(v):<24.17g} x{m}\n" for v, m in sigma.entries)
 
 
@@ -108,21 +102,22 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_spectra(args) -> int:
+    from . import spectral
     g = _load_graph(args.input)
     params = BlowupParams(args.n, args.r)
 
-    check_spectrum_input(g, max_order=args.max_vertices)  # the base graph's errors come first
+    spectral.check_spectrum_input(g, max_order=args.max_vertices)  # the base graph's errors come first
     themed = numeric = None
     if args.method != "numeric":
-        base = laplacian_spectrum(g, max_order=args.max_vertices)
+        base = spectral.laplacian_spectrum(g, max_order=args.max_vertices)
         bipartite = bipartition(g).is_bipartite
-        themed = spectrum_iterated(base, g.vertex_count, g.edge_count, params, bipartite)
+        themed = spectral.spectrum_iterated(base, g.vertex_count, g.edge_count, params, bipartite)
     if args.method != "theorem":
         blown = blowup_iterate(g, params, max_vertices=args.max_vertices)
-        numeric = laplacian_spectrum(blown, max_order=args.max_vertices)
+        numeric = spectral.laplacian_spectrum(blown, max_order=args.max_vertices)
 
     if args.method == "both":
-        report = multiset_match(themed, numeric, args.tol)
+        report = spectral.multiset_match(themed, numeric, args.tol)
         if args.format == "json":
             text = (
                 f'{{"theorem":{themed.to_json()},"numeric":{numeric.to_json()},'
@@ -146,7 +141,7 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def _report_table_row(report: IndexReport) -> str:
+def _report_table_row(report) -> str:
     kf, ke, tau = (
         f"{value:.12g}" if isinstance(value, float) else str(value)
         for value in (report.kf_star, report.kemeny, report.tau)
@@ -155,12 +150,13 @@ def _report_table_row(report: IndexReport) -> str:
 
 
 def cmd_indexes(args) -> int:
+    from . import indexes
     g = _load_graph(args.input)
     if args.r >= 1 and args.n is None:
         raise InvalidParameterError("--n is required when r >= 1")
     params = BlowupParams(args.n if args.n is not None else 3, args.r)
 
-    routes = indexes.ROUTES if args.route == "all" else (args.route,)
+    routes = ROUTES if args.route == "all" else (args.route,)
     reports = {
         route: indexes.compute(g, params, route, args.max_vertices, args.exact_cap)
         for route in routes
@@ -200,6 +196,7 @@ def _deltas_json(deltas: dict[str, float]) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     raw = ",".join(DEFAULT_CORPUS_SPECS) if args.corpus is None else args.corpus
     specs = [s for s in raw.split(",") if s.strip()]
     if not specs:
@@ -207,7 +204,7 @@ def cmd_verify(args) -> int:
     corpus = [(spec.strip(), graph_from_spec(spec)) for spec in specs]
     n_list = _parse_int_list(args.n_list, "n-list")
     r_list = _parse_int_list(args.r_list, "r-list")
-    report = run_verification(
+    report = verify.run_verification(
         corpus,
         n_list,
         r_list,
@@ -307,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--input", required=True)
     p_idx.add_argument("--n", type=int, default=None)
     p_idx.add_argument("--r", type=int, default=0, help="iteration depth (default 0)")
-    p_idx.add_argument("--route", choices=(*indexes.ROUTES, "all"), default="all")
+    p_idx.add_argument("--route", choices=(*ROUTES, "all"), default="all")
     p_idx.add_argument("--format", choices=("table", "json"), default="table")
     p_idx.add_argument("--output", default=None)
     p_idx.add_argument("--max-vertices", type=_int_at_least(0), default=None)
     p_idx.add_argument(
         "--exact-cap",
         type=_int_at_least(0),
-        default=indexes.DEFAULT_EXACT_CAP,
+        default=DEFAULT_EXACT_CAP,
         help="largest order q of the true-twin quotient that exact tau and Kf* "
-        f"eliminate (default {indexes.DEFAULT_EXACT_CAP})",
+        f"eliminate (default {DEFAULT_EXACT_CAP})",
     )
     # tau through the spectrum is documented to 1e-6 relative; the route
     # agreement verdict defaults to that accuracy
@@ -333,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--exact-cap",
         type=_int_at_least(0),
-        default=indexes.DEFAULT_EXACT_CAP,
+        default=DEFAULT_EXACT_CAP,
         help="largest order each capped routine eliminates: q of the true-twin "
         "quotient for exact tau and Kf*, N for the incidence rank and the "
         "resistances; a check over it is skipped "
-        f"(default {indexes.DEFAULT_EXACT_CAP})",
+        f"(default {DEFAULT_EXACT_CAP})",
     )
     p_ver.set_defaults(func=cmd_verify)
 

@@ -33,13 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._blas import threads_for
-from ._exact import DEFAULT_EXACT_CAP, fraction_inverse, modular_determinant, require_memory, require_within_cap
+from ._exact import DEFAULT_EXACT_CAP, ROUTES, fraction_inverse, modular_determinant, require_memory, require_within_cap
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, blowup_iterate, count_sequence
 from .errors import InternalAssertionError, InvalidParameterError, NumericalFailureError
 from .graphs import Graph, require_connected
 from .spectral import SpectrumMultiset, _require_laplacian, laplacian_spectrum, zero_index
 
-ROUTES = ("spectral", "closed_form", "oracle")
 _BEYOND_DOUBLE = "{0} of the {1} route is beyond the double range (log10 {0} = {2:.1f})"
 
 # peak bytes of _shifted_inverse in q x q arrays of doubles, rounded up from the ru_maxrss

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _blas
-from ._exact import require_memory
+from ._exact import DEFAULT_MATCH_TOL, require_memory, require_tolerance
 from .blowup import DEFAULT_MAX_VERTICES, BlowupParams, count_sequence
 from .errors import (
     DegreeZeroError,
@@ -47,7 +47,6 @@ from .errors import (
 from .graphs import Graph, require_connected
 
 DEFAULT_CLUSTER_TOL = 1e-6
-DEFAULT_MATCH_TOL = 1e-7
 SYMMETRY_TOL = 1e-12
 SYMMETRY_BLOCK = 2**18  # bytes of the one buffer the symmetry check reuses
 
@@ -453,13 +452,6 @@ def spectrum_iterated(
                 f"{smallest:.3g} is below the smallest normal double"
             )
     return sigma
-
-
-def require_tolerance(tol: float) -> float:
-    """Return tol if it is a finite number >= 0, else raise InvalidParameterError."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def multiset_match(

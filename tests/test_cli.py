@@ -21,6 +21,7 @@ from clique_blowup import (
     eig_sym,
     gen_family,
     indexes,
+    spectral,
     tau_blowup_closed,
     verify,
 )
@@ -299,13 +300,13 @@ class TestSpectra:
 
     def test_numeric_method_skips_base_eigensolve(self, capsys, monkeypatch):
         solved = []
-        original = cli.laplacian_spectrum
+        original = spectral.laplacian_spectrum
 
         def recording(g, *args, **kwargs):
             solved.append(g.vertex_count)
             return original(g, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "laplacian_spectrum", recording)
+        monkeypatch.setattr(spectral, "laplacian_spectrum", recording)
         code, _, _ = run(
             capsys, "spectra", "--input", "cycle:5", "--n", "4", "--method", "numeric"
         )
@@ -911,7 +912,7 @@ class TestVerify:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "run_verification", exhausted)
+        monkeypatch.setattr(verify, "run_verification", exhausted)
         code, out, err = run(capsys, "verify", "--corpus", "complete:2")
         assert code == 3
         assert out == ""
@@ -969,17 +970,19 @@ class TestThreadPin:
 
     @needs_task_dir
     def test_module_run_loads_numpy_on_one_thread(self):
-        # run_module imports the package first, as `python -m clique_blowup.cli` does
+        # run_module imports the package first, as `python -m clique_blowup.cli` does;
+        # gen loads no numpy, so a numeric command runs
         code = (
             "import os, runpy, sys\n"
-            "sys.argv = ['clique-blowup', 'gen', 'complete', '2']\n"
+            "sys.argv = ['clique-blowup', 'spectra', '--input', 'complete:2', '--n', '3',\n"
+            "            '--r', '0', '--method', 'numeric', '--format', 'json']\n"
             "try:\n"
             "    runpy.run_module('clique_blowup.cli', run_name='__main__')\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(len(os.listdir('/proc/self/task')))\n"
+            "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
         )
-        assert run_child(code) == "0 1\n1\n"
+        assert run_child(code).splitlines()[-1] == "True 1"
 
     def test_cli_import_looks_up_no_openblas(self):
         code = (
@@ -1113,6 +1116,79 @@ class TestThreadPin:
             "print('numpy' in sys.modules, dict(os.environ) == before)"
         )
         assert run_child(code) == "False True\n"
+
+
+# the modules that cli imports at its top, and the only ones loaded before a numeric command
+NUMPY_FREE = ("cli", "_blas", "_exact", "graphs", "blowup", "corpus", "errors")
+
+
+def run_command_child(argv):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the modules it left loaded.
+
+    With argv None the child only imports ``clique_blowup.cli``.
+    """
+    code = (
+        "import sys\n"
+        "import clique_blowup.cli\n"
+        "try:\n"
+        f"    code = None if {argv!r} is None else clique_blowup.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(repr((code, sorted(sys.modules))))\n"
+    )
+    return ast.literal_eval(run_child(code).splitlines()[-1])
+
+
+class TestStartUp:
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (None, None),
+            (["gen", "cycle", "5"], 0),
+            (["blowup", "--input", "cycle:4", "--n", "3"], 0),
+            (["--help"], 0),
+            (["spectra", "--n", "3"], 2),  # a usage error: --input is missing
+        ],
+    )
+    def test_command_loads_no_numpy(self, argv, exit_code):
+        code, loaded = run_command_child(argv)
+        assert code == exit_code
+        assert "numpy" not in loaded
+        assert "ctypes" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectra", "--input", "cycle:4", "--n", "3"],
+            ["indexes", "--input", "cycle:4", "--n", "3", "--r", "1"],
+            ["verify", "--corpus", "complete:2", "--n-list", "3", "--r-list", "1"],
+        ],
+    )
+    def test_numeric_command_loads_every_submodule(self, argv):
+        # bench/tracer.py looks every exporting module up in sys.modules after one command
+        code, loaded = run_command_child(argv)
+        assert code == 0
+        assert {f"clique_blowup.{module}" for module in clique_blowup._EXPORTS} <= set(loaded)
+
+    def test_numpy_free_modules_import_no_numpy_at_module_level(self):
+        def module_level(node):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    yield child
+                    yield from module_level(child)
+
+        package = os.path.dirname(clique_blowup.__file__)
+        for module in NUMPY_FREE:
+            with open(os.path.join(package, f"{module}.py")) as source:
+                tree = ast.parse(source.read())
+            for node in module_level(tree):
+                if isinstance(node, ast.Import):
+                    assert all(a.name.split(".")[0] != "numpy" for a in node.names), module
+                elif isinstance(node, ast.ImportFrom) and node.level:
+                    siblings = [node.module] if node.module else [a.name for a in node.names]
+                    assert set(siblings) <= set(NUMPY_FREE), module
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module.split(".")[0] != "numpy", module
 
 
 class TestPackageSurface:
