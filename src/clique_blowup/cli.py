@@ -7,10 +7,10 @@ contract: 0 success or match, 1 verification mismatch, 2 invalid input,
 Importing this module calls _blas.pin() before numpy loads, which owns the
 BLAS thread policy: one thread unless the user set a count (see _blas). Its
 top imports load no numpy, so neither do ``gen``, ``blowup``, ``--help`` and
-usage errors. numpy loads in ``spectra``, ``indexes`` and ``verify`` only,
-each through ``from . import <module>`` in its body: the package's
-``__getattr__`` then loads every submodule (``bench/tracer.py`` looks them all
-up in ``sys.modules``), where ``from .spectral import ...`` would not.
+argparse's usage errors. ``spectra``, ``indexes`` and ``verify`` load numpy
+before they check their own arguments, through ``from . import <module>``:
+the package's ``__getattr__`` then loads every submodule (``bench/tracer.py``
+needs them all in ``sys.modules``), where ``from .spectral import`` would not.
 """
 
 from __future__ import annotations
