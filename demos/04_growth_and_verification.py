@@ -43,5 +43,5 @@ print("counts are still exact:", blowup_counts(4, 4, BlowupParams(3, 9)))
 print("\ncross-route verification over three corpus graphs:")
 corpus = [entry for entry in default_corpus() if entry[0] in ("complete:2", "cycle:4", "petersen")]
 report = run_verification(corpus, n_list=[3, 4], r_list=[1, 2])
-print(report.matrix([name for name, _ in corpus]))
+print(report.matrix())
 print(report.summary())

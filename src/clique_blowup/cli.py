@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
         exact_cap=args.exact_cap,
         jobs=args.jobs,
     )
-    print(report.matrix([name for name, _ in corpus]))
+    print(report.matrix())
     print(report.summary())
     if not report.passed:
         first = report.failures[0]
@@ -267,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_n=True):
+    def add_common(p):
         p.add_argument("--input", required=True, help="edge-list file, '-', or spec like complete:3")
-        if with_n:
-            p.add_argument("--n", type=int, required=True, help="clique size (>= 3)")
+        p.add_argument("--n", type=int, required=True, help="clique size (>= 3)")
         p.add_argument("--output", default=None, help="output path, default stdout")
         p.add_argument(
             "--max-vertices",

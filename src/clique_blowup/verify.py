@@ -9,10 +9,11 @@ computed once, by ``base_facts``, and shared by all of its checks, and so are
 the closed-form levels lifted from them, one list per n.
 
 The harness makes no size decision of its own. It passes ``max_vertices``
-and ``exact_cap`` on, each routine enforces its own cap (the construction
-and the eigensolve on N, the exact tau and Kf* on the order q of the
-true-twin quotient, the incidence rank and the resistances on N), and
-``_skip_or_fail`` records the SizeCapExceededError of any of them as a skip.
+on, and ``exact_cap`` too (a cell reads it from its graph's facts). Each
+routine enforces its own cap (the construction and the eigensolve on N, the
+exact tau and Kf* on the order q of the true-twin quotient, the incidence
+rank and the resistances on N), and ``_skip_or_fail`` records the
+SizeCapExceededError of any of them as a skip.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class CheckResult:
 
 @dataclass
 class VerifyReport:
+    names: tuple[str, ...]
     n_list: tuple[int, ...]
     r_list: tuple[int, ...]
     results: list[CheckResult] = field(default_factory=list)
@@ -85,24 +87,22 @@ class VerifyReport:
             f"{len(self.failures)} failures, {len(self.skipped)} skipped)"
         )
 
-    def matrix(self, corpus_names: list[str]) -> str:
+    def matrix(self) -> str:
         """Pass/fail table: one row per graph, one column per (n, r) cell."""
         cells = [f"n={n},r={r}" for n in self.n_list for r in self.r_list]
         headers = ["graph", "structural"] + cells
         by_subject: dict[str, list[CheckResult]] = {}
         for res in self.results:
             by_subject.setdefault(res.subject, []).append(res)
-        rows = []
-        for name in corpus_names:
-            structural = [
-                res
-                for subject, group in by_subject.items()
-                if subject == name or (subject.startswith(f"{name} n=") and "r=" not in subject)
-                for res in group
-            ]
-            row = [name, _cell_status(structural)]
-            row += [_cell_status(by_subject.get(f"{name} {cell}", [])) for cell in cells]
-            rows.append(row)
+
+        def status(*subjects: str) -> str:
+            return _cell_status([res for s in subjects for res in by_subject.get(s, [])])
+
+        rows = [
+            [name, status(name, *(f"{name} n={n}" for n in self.n_list))]
+            + [status(f"{name} {cell}") for cell in cells]
+            for name in self.names
+        ]
         widths = [
             max(len(row[i]) for row in [headers] + rows) for i in range(len(headers))
         ]
@@ -286,11 +286,10 @@ def cell_checks(
     r: int,
     tol: float = DEFAULT_MATCH_TOL,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    exact_cap: int = indexes.DEFAULT_EXACT_CAP,
 ) -> list[CheckResult]:
     """All cross-route checks for one (graph, n, r) grid cell, r >= 1. The exact
-    tau, capped, runs last; a float Kf* solve over physical memory still skips
-    every check after it. Either way the matrix shows the cell as ``part``."""
+    tau, under the facts' cap, runs last; a float Kf* solve over physical memory
+    still skips every check after it. Either way the matrix shows the cell as ``part``."""
     subject = f"{name} n={n},r={r}"
     out: list[CheckResult] = []
 
@@ -340,7 +339,7 @@ def cell_checks(
         )
         tau_direct = _oracle_checks(
             add, "blowup-", blown, numeric, kf_direct, lambda: ke_closed,
-            lambda: indexes.tau_exact(blown, max_order=exact_cap),
+            lambda: indexes.tau_exact(blown, max_order=base.exact_cap),
         )
         tau_closed = indexes._tau_count(base.tau, n, tau_exps)
         # logs in the detail: an int beyond 4300 digits has no decimal str
@@ -388,8 +387,7 @@ def run_verification(
             base = base_facts(g, exact_cap, max_vertices)
             results.extend(graph_checks(name, g, base, tol))
             results.extend(monotonicity_checks(name, g, base, n_list, r_max))
-        tasks += [(name, g, base, n, r, tol, max_vertices, exact_cap)
-                  for n in n_list for r in r_list]
+        tasks += [(name, g, base, n, r, tol, max_vertices) for n in n_list for r in r_list]
     # every worker forks at once, so never ask for more than can run
     workers = min(jobs, len(tasks), cores())
     if workers > 1:
@@ -402,4 +400,4 @@ def run_verification(
     else:
         for task in tasks:
             results.extend(_run_cell(task))
-    return VerifyReport(tuple(n_list), tuple(r_list), results)
+    return VerifyReport(tuple(name for name, _ in corpus), tuple(n_list), tuple(r_list), results)

@@ -174,6 +174,16 @@ class TestHarness:
         failed = {r.check for r in results if not r.passed}
         assert failed == {"closed-vs-oracle-tau", "blowup-tau-oracle"}
 
+    def test_cell_takes_its_exact_cap_from_its_facts(self):
+        # the blown graph's quotient has order 25: one over the cap the facts hold
+        g = petersen()
+        results = cell_checks("petersen", g, base_facts(g, exact_cap=24), 3, 1)
+        *checked, last = results
+        assert len(checked) == 8 and checked[-1].check == "blowup-kemeny-oracle"
+        assert all(r.passed and not r.skipped for r in checked)
+        assert (last.check, last.passed, last.skipped) == ("cell", True, True)
+        assert last.detail == "skipped: order 25 exceeds exact cap 24"
+
     def test_incidence_rank_skipped_over_exact_cap(self, monkeypatch):
         def not_called(rows, width):
             raise AssertionError("incidence matrix eliminated over the exact cap")
@@ -196,7 +206,7 @@ class TestHarness:
         corpus = [("complete:2", gen_family("complete", 2))]
         report = run_verification(corpus, [3], [1, 2])
         assert report.passed
-        matrix = report.matrix(["complete:2"])
+        matrix = report.matrix()
         assert "n=3,r=1" in matrix and "ok" in matrix
         assert "PASS" in report.summary()
 
