@@ -11,9 +11,11 @@ per count; at order 400 the ratios are 1.06x and 0.86x). So
 ``threads_for(order)`` runs a factorization of order ``PARALLEL_ORDER`` or
 more on ``cores()``, every CPU the process may use, through OpenBLAS's own
 ``openblas_set_num_threads``, looked up at the first such factorization.
-It raises only a count ``pin()`` set before numpy loaded, never in a forked
-worker (``verify --jobs``, whose workers ``cores()`` also caps), and never
-where numpy's OpenBLAS cannot be found (numpy built against another BLAS).
+It raises only a count ``pin()`` set before numpy loaded, and only in the
+process that set it: ``pin()`` records that process's pid, so a forked
+worker (``verify --jobs``, whose workers ``cores()`` also caps) is told
+apart by its own pid and keeps one thread. It never raises a count where
+numpy's OpenBLAS cannot be found (numpy built against another BLAS).
 
 ``syevd()`` returns the same library's LAPACK ``dsyevd`` (the ILP64 build
 numpy's wheels bundle), the routine ``numpy.linalg.eigvalsh`` calls, so
@@ -44,23 +46,17 @@ _SETTERS = (
 # dsyevd of the ILP64 OpenBLAS in numpy's wheels (64-bit integers), which eigvalsh calls
 _SYEVD = "scipy_dsyevd_64_"
 
-_own_count = False  # pin() set the count before numpy loaded, and no fork came since
+_owner = None  # the pid of the process whose count pin() set before numpy loaded
 
 
 def pin() -> None:
     """Run BLAS on one thread unless the user set a count: call it before numpy loads."""
-    global _own_count
+    global _owner
     if THREAD_VARS & os.environ.keys():
         return
     os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
-    _own_count = "numpy" not in sys.modules
-    if _own_count:
-        os.register_at_fork(after_in_child=_disown)
-
-
-def _disown() -> None:
-    global _own_count
-    _own_count = False
+    if "numpy" not in sys.modules:
+        _owner = os.getpid()
 
 
 def cores() -> int:
@@ -149,7 +145,8 @@ def syevd():
 @contextmanager
 def threads_for(order: int):
     """Run the block on every core if the matrix has order PARALLEL_ORDER or more."""
-    setter = _setter() if _own_count and order >= PARALLEL_ORDER and cores() > 1 else None
+    mine = _owner == os.getpid()  # False in a forked worker, whose count its parent pinned
+    setter = _setter() if mine and order >= PARALLEL_ORDER and cores() > 1 else None
     if setter is None:
         yield
         return

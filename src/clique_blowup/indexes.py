@@ -89,7 +89,8 @@ class IndexReport:
             parts.append(f'"tau_exact":"{self.tau}"')
         parts.append(f'"route":"{self.route}"')
         if self.params is not None:
-            parts.append(f'"n":{self.params.n}')
+            if self.params.r >= 1:  # depth 0 inserts no clique, so it has no n
+                parts.append(f'"n":{self.params.n}')
             parts.append(f'"r":{self.params.r}')
         if not isinstance(self.kf_star, float):
             parts.append(f'"kf_star_exact":"{self.kf_star}"')

@@ -395,6 +395,17 @@ class TestIndexes:
         assert doc["kf_star"] == pytest.approx(8.0)
         assert doc["tau_exact"] == "3"
 
+    @pytest.mark.parametrize("n", [[], ["--n", "5"]])
+    def test_depth_zero_json_has_no_clique_size(self, capsys, n):
+        # r = 0 inserts no clique: the report gives no n, whether or not --n was passed
+        code, out, _ = run(
+            capsys, "indexes", "--input", "petersen", "--route", "oracle", "--format", "json", *n,
+        )
+        assert (code, out) == (0, (
+            '{"kf_star":297,"kemeny":9.9000000000000004,"tau_float":2000,"tau_exact":"2000",'
+            '"route":"oracle","r":0}\n'
+        ))
+
     def test_depth_without_clique_size_exits_2(self, capsys):
         code, _, err = run(capsys, "indexes", "--input", "complete:3", "--r", "2")
         assert code == 2
@@ -891,12 +902,17 @@ class TestVerify:
         assert err.startswith("error: corpus graph path:1: ") and err.count("\n") == 1
         assert "needs every degree >= 1" in err
 
-    @pytest.mark.parametrize("grid", [["--n-list", "2"], ["--r-list", "0"], ["--r-list=-1"]])
+    @pytest.mark.parametrize("grid", [  # each grid with its error message
+        (["--n-list", "2"], "verify needs every n >= 3 and every r >= 1"),
+        (["--r-list", "0"], "verify needs every n >= 3 and every r >= 1"),
+        (["--r-list=-1"], "verify needs every n >= 3 and every r >= 1"),
+        (["--n-list", "x"], "--n-list must be comma-separated integers"),
+        (["--r-list", ","], "--r-list must not be empty"),
+    ])
     def test_invalid_grid_exits_2(self, capsys, grid):
-        code, out, err = run(capsys, "verify", "--corpus", "complete:3", *grid)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        argv, message = grid
+        code, out, err = run(capsys, "verify", "--corpus", "complete:3", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("corpus", ["", ","])
     def test_empty_corpus_exits_2(self, capsys, corpus):
@@ -999,7 +1015,7 @@ class TestThreadPin:
             "import clique_blowup.cli\n"
             "from clique_blowup import _blas, eig_sym\n"
             "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
-            f"print([os.environ[v] for v in {THREAD_VARS}], _blas._own_count,\n"
+            f"print([os.environ[v] for v in {THREAD_VARS}], _blas._owner == os.getpid(),\n"
             "      _blas._setter.cache_info().currsize)\n"
         )
         assert run_child(code) == "['1', '1', '1'] False 0\n"
@@ -1036,7 +1052,8 @@ class TestThreadPin:
     @needs_task_dir
     @needs_two_cores
     def test_large_factorizations_use_every_core(self):
-        # the count rises only from PARALLEL_ORDER on, and never in a forked worker
+        # the count rises only from PARALLEL_ORDER on, and never in a forked worker:
+        # each side counts its set-count lookups, which a recorder answers with None
         code = (
             "import clique_blowup.cli, numpy, os\n"
             "from clique_blowup import _blas, eig_sym\n"
@@ -1045,11 +1062,15 @@ class TestThreadPin:
             "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
             "large = len(os.listdir('/proc/self/task'))\n"
             "pid = os.fork()\n"
+            "calls = []\n"
+            "_blas._setter = lambda: calls.append(None)\n"
+            "with _blas.threads_for(_blas.PARALLEL_ORDER):\n"
+            "    pass\n"
             "if pid == 0:\n"
-            "    os._exit(_blas._own_count)\n"
-            "print(small, large > 1, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "    os._exit(len(calls))\n"
+            "print(small, large > 1, len(calls), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
-        assert run_child(code) == "1 True 0\n"
+        assert run_child(code) == "1 True 1 0\n"
 
     @needs_task_dir
     def test_a_count_the_user_set_is_never_raised(self):
@@ -1057,7 +1078,7 @@ class TestThreadPin:
             "import clique_blowup.cli, numpy, os\n"
             "from clique_blowup import _blas, eig_sym\n"
             "eig_sym(numpy.eye(_blas.PARALLEL_ORDER))\n"
-            "print(_blas._own_count, _blas._setter.cache_info().currsize,\n"
+            "print(_blas._owner == os.getpid(), _blas._setter.cache_info().currsize,\n"
             "      len(os.listdir('/proc/self/task')))\n"
         )
         assert run_child(code, OPENBLAS_NUM_THREADS="1") == "False 0 1\n"
@@ -1066,7 +1087,7 @@ class TestThreadPin:
     def test_in_place_solve_is_bit_identical_on_two_threads(self):
         # below PARALLEL_ORDER on one thread, from it on every core, each side alike
         code = (
-            "import clique_blowup.cli, numpy as np\n"
+            "import clique_blowup.cli, numpy as np, os\n"
             "from clique_blowup import SpectrumMultiset, _blas, eig_sym\n"
             "SpectrumMultiset.from_eigenvalues = staticmethod(lambda values, **_: values)\n"
             "rng = np.random.default_rng(3)\n"
@@ -1077,7 +1098,7 @@ class TestThreadPin:
             "        expected = np.linalg.eigvalsh(m).tobytes()\n"
             "    print(eig_sym(m).tobytes() == expected,\n"
             "          eig_sym(m, overwrite=True).tobytes() == expected)\n"
-            "print(_blas._own_count and _blas._setter() is not None)\n"
+            "print(_blas._owner == os.getpid() and _blas._setter() is not None)\n"
         )
         assert run_child(code) == "True True\nTrue True\nTrue\n"
 
@@ -1085,7 +1106,7 @@ class TestThreadPin:
     def test_shifted_inverse_is_exactly_symmetric(self):
         # resistance_matrix relies on it: below PARALLEL_ORDER on one thread, from it on every core
         code = (
-            "import clique_blowup.cli, numpy as np\n"
+            "import clique_blowup.cli, numpy as np, os\n"
             "from clique_blowup import BlowupParams, _blas, blowup_iterate, default_corpus, gen_family\n"
             "from clique_blowup.indexes import _laplacian_rows, _shifted_inverse\n"
             "graphs = [blowup_iterate(g, BlowupParams(4, 1)) for _, g in default_corpus()]\n"
@@ -1093,13 +1114,13 @@ class TestThreadPin:
             "for g in graphs:\n"
             "    s = _shifted_inverse(_laplacian_rows(g.edges, [1] * g.vertex_count, g.degrees))\n"
             "    print(np.array_equal(s, s.T), end=' ')\n"
-            "print(_blas._own_count and _blas._setter() is not None)\n"
+            "print(_blas._owner == os.getpid() and _blas._setter() is not None)\n"
         )
         assert run_child(code) == "True " * 12 + "True\n"
 
     def test_threads_for_brackets_every_large_factorization(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(_blas, "_own_count", True)
+        monkeypatch.setattr(_blas, "_owner", os.getpid())
         monkeypatch.setattr(_blas, "_setter", lambda: calls.append)
         monkeypatch.setattr(_blas, "cores", lambda: 4)
         order = _blas.PARALLEL_ORDER

@@ -673,6 +673,10 @@ class TestIndexReport:
         with pytest.raises(InvalidParameterError):
             IndexReport(1.0, 1.0, 1.0, "guess")
 
+    def test_compute_validates_the_route(self):
+        with pytest.raises(InvalidParameterError, match="route must be one of"):
+            indexes.compute(petersen(), BlowupParams(3, 0), "guess")
+
 
 class TestInvariants:
     @settings(max_examples=30, deadline=None)
